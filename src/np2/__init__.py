@@ -2,17 +2,13 @@
 
 from .field import (
     FieldCtx,
-    FieldElement,
-    abs_trace,
     embed_bits,
-    enumerate_field,
     field_table,
     is_irreducible,
     make_ctx,
-    mul,
     smallest_irreducible,
 )
-from .hasse import TheoremCase, classify, hasse_polynomial
+from .hasse import TheoremCase, classify
 from .modsolve import (
     DensityResult,
     ModSolution,
@@ -46,28 +42,23 @@ __all__ = [
     "CurvePoly",
     "DensityResult",
     "FieldCtx",
-    "FieldElement",
     "MinimalSupportMatrix",
     "ModSolution",
     "TheoremCase",
     "VssReport",
-    "abs_trace",
     "build_matrix",
     "classify",
     "density",
     "effective_exponent_set",
     "embed_bits",
-    "enumerate_field",
     "exponential_sum",
     "field_table",
     "first_vertex",
-    "hasse_polynomial",
     "is_irreducible",
     "l_polynomial",
     "make_ctx",
     "min_weight_solution",
     "minimal_irreducible_solutions",
-    "mul",
     "newton_polygon",
     "newton_polygon_of_curve",
     "odds_up_to",

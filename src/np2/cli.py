@@ -9,12 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .field import smallest_irreducible
 from .hasse import classify
 from .modsolve import density, minimal_irreducible_solutions, odds_up_to
 from .sweep import (
+    PREDICTORS,
     SweepSpec,
     coeffs_str,
     frac_str,
@@ -212,19 +214,7 @@ def cmd_sweep(args) -> int:
         with open(args.frontier, "w") as fh:
             json.dump(frontier_summary(records), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    print(
-        json.dumps(
-            {
-                "total": summary.total,
-                "agreements": summary.agreements,
-                "disagreements": summary.disagreements,
-                "oracle_disagreements": summary.oracle_disagreements,
-                "absences": summary.absences,
-            },
-            sort_keys=True,
-        ),
-        file=sys.stderr,
-    )
+    print(json.dumps(asdict(summary), sort_keys=True), file=sys.stderr)
     if summary.oracle_disagreements and not args.expect_frontier:
         return 2
     return 0
@@ -360,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=0)
     p.add_argument("--fix", type=_coeffs_arg, default=None, help="frozen coefficients e:bits[,...]")
-    p.add_argument("--predictors", default="oracle,vss,hasse")
+    p.add_argument("--predictors", default=",".join(PREDICTORS))
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--frontier", default=None, help="write per-case agreement table here")

@@ -9,9 +9,7 @@ contexts are cached, so elements of equal degree always share a modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -115,8 +113,11 @@ class FieldCtx:
                 x ^= m
         return r
 
-    def sqr(self, x: int) -> int:
-        return self.mul(x, x)
+    def frobenius(self, x: int, k: int) -> int:
+        """x^(2^k) by k squarings."""
+        for _ in range(k):
+            x = self.mul(x, x)
+        return x
 
     def pow_(self, x: int, e: int) -> int:
         if e < 0:
@@ -152,52 +153,6 @@ class FieldCtx:
 @lru_cache(maxsize=None)
 def make_ctx(a: int) -> FieldCtx:
     return FieldCtx(a, smallest_irreducible(a))
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of F_{2^degree}; bits encode a polynomial in t."""
-
-    bits: int
-    degree: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.degree):
-            raise ValueError(f"bits {self.bits} out of range for degree {self.degree}")
-
-    @property
-    def ctx(self) -> FieldCtx:
-        return make_ctx(self.degree)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        _check_same(self, other)
-        return FieldElement(self.bits ^ other.bits, self.degree)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        _check_same(self, other)
-        return FieldElement(self.ctx.mul(self.bits, other.bits), self.degree)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-
-def _check_same(x: FieldElement, y: FieldElement) -> None:
-    if x.degree != y.degree:
-        raise ValueError(f"context mismatch: degree {x.degree} vs {y.degree}")
-
-
-def mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x * y
-
-
-def abs_trace(x: FieldElement) -> int:
-    return x.ctx.trace(x.bits)
-
-
-def enumerate_field(ctx: FieldCtx) -> Iterator[FieldElement]:
-    """All field elements in ascending bit order."""
-    for bits in ctx.elements():
-        yield FieldElement(bits, ctx.degree)
 
 
 @lru_cache(maxsize=None)

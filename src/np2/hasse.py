@@ -13,15 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldCtx, FieldElement, make_ctx
+from .field import make_ctx
 from .zeta import CurvePoly
 
-
-def frobenius(ctx: FieldCtx, a: int, k: int) -> int:
-    """a^(2^k) by k squarings."""
-    for _ in range(k):
-        a = ctx.mul(a, a)
-    return a
+MIN_GENUS = 3
 
 
 @dataclass(frozen=True)
@@ -41,8 +36,8 @@ def _value_t2_ia(ctx, c, n):
 
 
 def _value_t2_ib(ctx, c, n):
-    return ctx.mul(frobenius(ctx, c((1 << n) - 3), n - 2), c(3 * (1 << (n - 2)) - 1)) ^ ctx.mul(
-        frobenius(ctx, c((1 << n) - 5), n - 2), c(5 * (1 << (n - 2)) - 1)
+    return ctx.mul(ctx.frobenius(c((1 << n) - 3), n - 2), c(3 * (1 << (n - 2)) - 1)) ^ ctx.mul(
+        ctx.frobenius(c((1 << n) - 5), n - 2), c(5 * (1 << (n - 2)) - 1)
     )
 
 
@@ -64,23 +59,23 @@ def _value_t2_ii(ctx, c, n):
 
 
 def _value_t2_iii(ctx, c, n):
-    return ctx.mul(frobenius(ctx, c((1 << (n + 1)) - 7), n - 2), c(7 * (1 << (n - 2)) - 1)) ^ ctx.mul(
-        frobenius(ctx, c((1 << n) - 3), n - 1), c(3 * (1 << (n - 1)) - 1)
-    )
+    return ctx.mul(
+        ctx.frobenius(c((1 << (n + 1)) - 7), n - 2), c(7 * (1 << (n - 2)) - 1)
+    ) ^ ctx.mul(ctx.frobenius(c((1 << n) - 3), n - 1), c(3 * (1 << (n - 1)) - 1))
 
 
 def _value_t2_iv(ctx, c, n):
     return (
-        ctx.mul(frobenius(ctx, c((1 << (n + 1)) - 5), n - 2), c(5 * (1 << (n - 2)) - 1))
+        ctx.mul(ctx.frobenius(c((1 << (n + 1)) - 5), n - 2), c(5 * (1 << (n - 2)) - 1))
         ^ _value_t2_iii(ctx, c, n)
     )
 
 
 def _value_t2_v(ctx, c, n):
     return (
-        ctx.mul(frobenius(ctx, c((1 << (n + 1)) - 3), n - 2), c(3 * (1 << (n - 2)) - 1))
-        ^ ctx.mul(frobenius(ctx, c((1 << (n + 1)) - 5), n - 2), c(5 * (1 << (n - 2)) - 1))
-        ^ ctx.mul(frobenius(ctx, c((1 << (n + 1)) - 7), n - 2), c(7 * (1 << (n - 2)) - 1))
+        ctx.mul(ctx.frobenius(c((1 << (n + 1)) - 3), n - 2), c(3 * (1 << (n - 2)) - 1))
+        ^ ctx.mul(ctx.frobenius(c((1 << (n + 1)) - 5), n - 2), c(5 * (1 << (n - 2)) - 1))
+        ^ ctx.mul(ctx.frobenius(c((1 << (n + 1)) - 7), n - 2), c(7 * (1 << (n - 2)) - 1))
     )
 
 
@@ -124,8 +119,8 @@ def _t2_intervals(n):
 
 def classify(f: CurvePoly) -> TheoremCase:
     """Walk the case ladder and return the unique case that fires."""
-    if f.genus < 3:
-        raise ValueError("case ladder needs genus at least 3")
+    if f.genus < MIN_GENUS:
+        raise ValueError(f"case ladder needs genus at least {MIN_GENUS}")
     n = (2 * f.genus + 2).bit_length() - 1
     ctx = make_ctx(f.field_degree)
     c = f.coeff
@@ -146,16 +141,3 @@ def classify(f: CurvePoly) -> TheoremCase:
             return TheoremCase(case_id, n, 0, None, True, slope)
     return TheoremCase("out-of-ladder", n, 0, None, True)
 
-
-def hasse_polynomial(case: TheoremCase, f: CurvePoly) -> FieldElement:
-    """The decisive field value of a case, re-evaluated on f."""
-    n = case.n
-    if case.case_id in ("T1-i", "T1-iib"):
-        bits = f.coeff((1 << n) - 1)
-    elif case.case_id == "T1-iia":
-        bits = f.coeff(3 * (1 << (n - 1)) - 1)
-    elif case.case_id in _T2_VALUES:
-        bits = _T2_VALUES[case.case_id](make_ctx(f.field_degree), f.coeff, n)
-    else:
-        raise ValueError(f"{case.case_id} has no decisive polynomial")
-    return FieldElement(bits, f.field_degree)

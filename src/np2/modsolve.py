@@ -278,6 +278,8 @@ def density(D, l_max: int | None = None) -> DensityResult:
     if l_max is None:
         n = (maxd + 2).bit_length() - 1
         l_max = 5 * n + 5
+    elif l_max < 1:
+        raise ValueError(f"l_max must be at least 1, not {l_max}")
     best: tuple[Fraction, int] | None = None
     sigmas = []
     capped = []
@@ -378,7 +380,7 @@ def minimal_irreducible_solutions(D, target: Fraction | None = None, max_weight:
         if l * (l + 1) // 2 > w * maxd:
             break
         if _pair_feasible(w, l, maxd):
-            raise RuntimeError(
+            raise ValueError(
                 f"solutions of weight {w} cannot be ruled out; raise max_weight"
             )
         k += 1

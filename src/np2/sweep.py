@@ -16,31 +16,66 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import attrgetter
 from random import Random
+from typing import Callable
 
-from .hasse import classify
+from .hasse import MIN_GENUS, classify
 from .vss import predict_first_vertex
 from .zeta import CurvePoly, first_vertex, newton_polygon_of_curve
 
 EXHAUSTIVE_CAP = 1 << 20
-PREDICTORS = ("oracle", "vss", "hasse")
 
-CSV_COLUMNS = (
-    "q",
-    "g",
-    "coeffs",
-    "predictors",
-    "oracle",
-    "vss",
-    "hasse_case",
-    "hasse_vertex",
-    "large_n_caveat",
-    "agree_oracle_vss",
-    "agree_oracle_hasse",
-    "agree_vss_hasse",
-)
+
+@dataclass(frozen=True)
+class Route:
+    """One route to the first vertex and the record fields it fills.
+
+    run(f) returns the values of fields in order; vertex names the field
+    that holds the first vertex, None where the route gives no verdict.
+    """
+
+    fields: tuple[str, ...]
+    vertex: str
+    run: Callable[[CurvePoly], tuple]
+
+
+# The routes look the predictors up in this module when they run, so a
+# caller that swaps a predictor on the module (a tracer) is seen here.
+def _by_counting(f: CurvePoly) -> tuple:
+    return (first_vertex(newton_polygon_of_curve(f)),)
+
+
+def _by_rank(f: CurvePoly) -> tuple:
+    return (predict_first_vertex(f),)
+
+
+def _by_case_ladder(f: CurvePoly) -> tuple:
+    if f.genus < MIN_GENUS:
+        return (None, None, None)
+    case = classify(f)
+    return (case.case_id, case.vertex, case.large_n_caveat)
+
+
+# Every list of routes, record fields and report columns derives from
+# this table.  The first route is the reference that oracle
+# disagreements are counted against; the last is the case ladder that
+# frontier_summary tabulates.
+ROUTES = {
+    "oracle": Route(("oracle",), "oracle", _by_counting),
+    "vss": Route(("vss",), "vss", _by_rank),
+    "hasse": Route(
+        ("hasse_case", "hasse_vertex", "large_n_caveat"), "hasse_vertex", _by_case_ladder
+    ),
+}
+PREDICTORS = tuple(ROUTES)
+AGREEMENTS = {f"agree_{a}_{b}": (a, b) for a, b in combinations(ROUTES, 2)}
+VERDICT_FIELDS = tuple(f for route in ROUTES.values() for f in route.fields) + tuple(AGREEMENTS)
+COLUMNS = ("q", "g", "coeffs", "predictors") + VERDICT_FIELDS
+_verdicts_of = attrgetter(*VERDICT_FIELDS)
 
 
 def frac_str(x: Fraction) -> str:
@@ -87,7 +122,7 @@ class SweepSpec:
         if not self.predictors:
             raise ValueError("no predictors selected")
         for p in self.predictors:
-            if p not in PREDICTORS:
+            if p not in ROUTES:
                 raise ValueError(f"unknown predictor {p!r}")
         q = 1 << self.field_degree
         deg = 2 * self.genus + 1
@@ -161,32 +196,24 @@ class VerdictRecord:
 def _agree(u, v):
     if u is None or v is None:
         return None
-    return (u[0], Fraction(u[1])) == (v[0], Fraction(v[1]))
+    return u == v
 
 
 def evaluate_curve(f: CurvePoly, predictors=PREDICTORS) -> VerdictRecord:
     t0 = time.perf_counter()
-    oracle = vss = case = None
-    if "oracle" in predictors:
-        oracle = first_vertex(newton_polygon_of_curve(f))
-    if "vss" in predictors:
-        vss = predict_first_vertex(f)
-    if "hasse" in predictors:
-        case = classify(f)
+    verdicts = {}
+    for name, route in ROUTES.items():
+        values = route.run(f) if name in predictors else (None,) * len(route.fields)
+        verdicts.update(zip(route.fields, values))
+    for flag, (a, b) in AGREEMENTS.items():
+        verdicts[flag] = _agree(verdicts[ROUTES[a].vertex], verdicts[ROUTES[b].vertex])
     return VerdictRecord(
         f.field_degree,
         f.genus,
         f.coeffs,
         tuple(predictors),
-        oracle,
-        vss,
-        case.case_id if case else None,
-        case.vertex if case else None,
-        case.large_n_caveat if case else None,
-        _agree(oracle, vss),
-        _agree(oracle, case.vertex if case else None),
-        _agree(vss, case.vertex if case else None),
-        time.perf_counter() - t0,
+        elapsed=time.perf_counter() - t0,
+        **verdicts,
     )
 
 
@@ -212,27 +239,29 @@ class SweepSummary:
 
 
 def summarize(records) -> SweepSummary:
-    agreements = disagreements = oracle_dis = absences = 0
+    reference = PREDICTORS[0]
+    against_reference = [flag for flag, (a, _) in AGREEMENTS.items() if a == reference]
+    agreements = disagreements = reference_dis = absences = 0
     for r in records:
-        flags = [r.agree_oracle_vss, r.agree_oracle_hasse, r.agree_vss_hasse]
+        flags = [getattr(r, flag) for flag in AGREEMENTS]
         ran = [f for f in flags if f is not None]
         if ran and all(ran):
             agreements += 1
         if any(f is False for f in flags):
             disagreements += 1
-        if r.agree_oracle_vss is False or r.agree_oracle_hasse is False:
-            oracle_dis += 1
-        absent = ("vss" in r.predictors and r.vss is None) or (
-            "hasse" in r.predictors and r.hasse_vertex is None
-        )
-        if absent:
+        if any(getattr(r, flag) is False for flag in against_reference):
+            reference_dis += 1
+        if any(
+            name in r.predictors and getattr(r, route.vertex) is None
+            for name, route in ROUTES.items()
+        ):
             absences += 1
-    return SweepSummary(len(records), agreements, disagreements, oracle_dis, absences)
+    return SweepSummary(len(records), agreements, disagreements, reference_dis, absences)
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[VerdictRecord], SweepSummary]:
     curves = list(iter_curves(spec))
-    threads = int(os.environ.get("NP2_THREADS", "1") or "1")
+    threads = min(int(os.environ.get("NP2_THREADS", "1") or "1"), os.cpu_count() or 1)
     if threads > 1 and len(curves) > 1:
         jobs = [(f, spec.predictors) for f in curves]
         chunk = max(1, len(jobs) // (threads * 8))
@@ -245,88 +274,76 @@ def run_sweep(spec: SweepSpec) -> tuple[list[VerdictRecord], SweepSummary]:
 
 
 def frontier_summary(records) -> dict[str, dict[str, int]]:
-    """Per-case agreement table for the closed-form route."""
+    """Per-case agreement table for the case ladder, the last route."""
+    *_, ladder = ROUTES
+    judges = {a: flag for flag, (a, b) in AGREEMENTS.items() if b == ladder}
     rows: dict[str, dict[str, int]] = {}
     for r in records:
         if r.hasse_case is None:
             continue
-        row = rows.setdefault(
-            r.hasse_case,
-            {
-                "records": 0,
-                "fired": 0,
-                "oracle_agree": 0,
-                "oracle_disagree": 0,
-                "vss_agree": 0,
-                "vss_disagree": 0,
-            },
-        )
+        row = rows.get(r.hasse_case)
+        if row is None:
+            row = rows[r.hasse_case] = {"records": 0, "fired": 0}
+            for a in judges:
+                row[f"{a}_agree"] = row[f"{a}_disagree"] = 0
         row["records"] += 1
         if r.hasse_vertex is None:
             continue
         row["fired"] += 1
-        if r.agree_oracle_hasse is True:
-            row["oracle_agree"] += 1
-        elif r.agree_oracle_hasse is False:
-            row["oracle_disagree"] += 1
-        if r.agree_vss_hasse is True:
-            row["vss_agree"] += 1
-        elif r.agree_vss_hasse is False:
-            row["vss_disagree"] += 1
+        for a, flag in judges.items():
+            agree = getattr(r, flag)
+            if agree is not None:
+                row[f"{a}_agree" if agree else f"{a}_disagree"] += 1
     return {case: rows[case] for case in sorted(rows)}
 
 
 def _vertex_json(v):
-    if v is None:
-        return None
-    return [v[0], frac_str(Fraction(v[1]))]
+    # counting and rank give a Fraction ordinate, written num/den; the
+    # case ladder's is an int
+    return [v[0], frac_str(v[1]) if isinstance(v[1], Fraction) else v[1]]
 
 
-def record_to_json(rec: VerdictRecord, timing: bool = False) -> str:
-    obj = {
-        "q": 1 << rec.field_degree,
-        "g": rec.genus,
-        "coeffs": coeffs_str(rec.coeffs),
-        "predictors": ",".join(rec.predictors),
-        "oracle": _vertex_json(rec.oracle),
-        "vss": _vertex_json(rec.vss),
-        "hasse_case": rec.hasse_case,
-        "hasse_vertex": list(rec.hasse_vertex) if rec.hasse_vertex else None,
-        "large_n_caveat": rec.large_n_caveat,
-        "agree_oracle_vss": rec.agree_oracle_vss,
-        "agree_oracle_hasse": rec.agree_oracle_hasse,
-        "agree_vss_hasse": rec.agree_vss_hasse,
-    }
+def _vertex_from_json(v):
+    return (v[0], parse_frac(v[1]) if isinstance(v[1], str) else v[1])
+
+
+def record_row(rec: VerdictRecord, timing: bool = False) -> dict:
+    """The report row of a record, {column: value} in column order.
+
+    JSONL lines and CSV rows both render this row; a vertex is a 2-list.
+    """
+    values = [
+        1 << rec.field_degree,
+        rec.genus,
+        coeffs_str(rec.coeffs),
+        ",".join(rec.predictors),
+    ]
+    for v in _verdicts_of(rec):
+        values.append(_vertex_json(v) if isinstance(v, tuple) else v)
+    row = dict(zip(COLUMNS, values))
     if timing:
-        obj["elapsed"] = rec.elapsed
-    return json.dumps(obj, sort_keys=True)
+        row["elapsed"] = rec.elapsed
+    return row
 
 
 def record_from_json(line: str) -> VerdictRecord:
-    obj = json.loads(line)
-    q = obj["q"]
+    """Inverse of record_row on a JSONL line."""
+    row = json.loads(line)
+    q = row["q"]
     a = q.bit_length() - 1
     if 1 << a != q:
         raise ValueError(f"q = {q} is not a power of two")
-
-    def vertex(v):
-        if v is None:
-            return None
-        return (v[0], parse_frac(v[1]))
-
+    verdicts = {}
+    for name in VERDICT_FIELDS:
+        v = row[name]
+        verdicts[name] = _vertex_from_json(v) if isinstance(v, list) else v
     return VerdictRecord(
         a,
-        obj["g"],
-        tuple(sorted(parse_coeffs(obj["coeffs"]).items(), reverse=True)),
-        tuple(obj["predictors"].split(",")),
-        vertex(obj["oracle"]),
-        vertex(obj["vss"]),
-        obj["hasse_case"],
-        tuple(obj["hasse_vertex"]) if obj["hasse_vertex"] else None,
-        obj["large_n_caveat"],
-        obj["agree_oracle_vss"],
-        obj["agree_oracle_hasse"],
-        obj["agree_vss_hasse"],
+        row["g"],
+        tuple(sorted(parse_coeffs(row["coeffs"]).items(), reverse=True)),
+        tuple(row["predictors"].split(",")),
+        elapsed=row.get("elapsed"),
+        **verdicts,
     )
 
 
@@ -337,41 +354,19 @@ def _csv_cell(value):
         return "true"
     if value is False:
         return "false"
+    if isinstance(value, list):
+        return f"{value[0]}:{value[1]}"
     return value
 
 
 def report_lines(records, format: str, timing: bool = False) -> list[str]:
     if format == "jsonl":
-        return [record_to_json(r, timing) for r in records]
+        return [json.dumps(record_row(r, timing), sort_keys=True) for r in records]
     if format != "csv":
         raise ValueError(f"unknown report format {format!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    columns = CSV_COLUMNS + (("elapsed",) if timing else ())
-    writer.writerow(columns)
+    writer.writerow(COLUMNS + (("elapsed",) if timing else ()))
     for r in records:
-        row = [
-            1 << r.field_degree,
-            r.genus,
-            coeffs_str(r.coeffs),
-            ",".join(r.predictors),
-            "" if r.oracle is None else f"{r.oracle[0]}:{frac_str(Fraction(r.oracle[1]))}",
-            "" if r.vss is None else f"{r.vss[0]}:{frac_str(Fraction(r.vss[1]))}",
-            _csv_cell(r.hasse_case),
-            "" if r.hasse_vertex is None else f"{r.hasse_vertex[0]}:{r.hasse_vertex[1]}",
-            _csv_cell(r.large_n_caveat),
-            _csv_cell(r.agree_oracle_vss),
-            _csv_cell(r.agree_oracle_hasse),
-            _csv_cell(r.agree_vss_hasse),
-        ]
-        if timing:
-            row.append(r.elapsed)
-        writer.writerow(row)
+        writer.writerow([_csv_cell(v) for v in record_row(r, timing).values()])
     return buf.getvalue().splitlines()
-
-
-def write_report(records, format: str, path: str, timing: bool = False) -> None:
-    lines = report_lines(records, format, timing)
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")

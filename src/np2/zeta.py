@@ -136,12 +136,12 @@ def _exponential_sum_table(f: CurvePoly, am: int) -> int:
     return (1 << am) - 2 * int(acc.sum())
 
 
-def point_count(f: CurvePoly, m: int = 1, method: str = "auto") -> int:
+def point_count(f: CurvePoly, m: int = 1) -> int:
     """#C(F_{q^m}) including the one point at infinity."""
-    return f.q ** m + 1 + exponential_sum(f, m, method)
+    return f.q ** m + 1 + exponential_sum(f, m)
 
 
-def l_polynomial(f: CurvePoly, full: bool = False, method: str = "auto") -> list[int]:
+def l_polynomial(f: CurvePoly, full: bool = False) -> list[int]:
     """Coefficients [a_0, ..., a_2g] of the zeta numerator L(T).
 
     With full=False the sums S_1..S_g are computed and the upper half is
@@ -154,7 +154,7 @@ def l_polynomial(f: CurvePoly, full: bool = False, method: str = "auto") -> list
     if g == 0:
         return [1]
     top = 2 * g if full else g
-    s = [exponential_sum(f, m, method) for m in range(1, top + 1)]
+    s = [exponential_sum(f, m) for m in range(1, top + 1)]
     a = [1] + [0] * (2 * g)
     for k in range(1, top + 1):
         tot = sum(s[m - 1] * a[k - m] for m in range(1, k + 1))

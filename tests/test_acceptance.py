@@ -12,7 +12,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -23,8 +22,6 @@ from np2.modsolve import density, minimal_irreducible_solutions, odds_up_to
 from np2.sweep import SweepSpec, frontier_summary, run_sweep
 from np2.vss import _apply, _row_reduce, predict_first_vertex, vss_report
 from np2.zeta import CurvePoly, first_vertex, l_polynomial, newton_polygon_of_curve
-
-REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
 
 
 @pytest.fixture
@@ -253,7 +250,7 @@ def test_rank_criterion_matches_counts(check):
     )
 
 
-def test_case_table_frontier_report(check):
+def test_case_table_frontier_report(check, tmp_path):
     # exhaustive zero-pattern sweeps over F_2 across the whole n = 4
     # degree window, all three predictors; agreement rates per case are
     # written out as a report, and only the generic T2-ii case is
@@ -264,8 +261,7 @@ def test_case_table_frontier_report(check):
         recs, _ = run_sweep(SweepSpec(field_degree=1, genus=g))
         records.extend(recs)
     front = frontier_summary(records)
-    REPORT_DIR.mkdir(exist_ok=True)
-    out = REPORT_DIR / "frontier_n4.json"
+    out = tmp_path / "frontier_n4.json"
     payload = {
         "field": "F_2",
         "genus_range": [8, 14],
@@ -279,7 +275,7 @@ def test_case_table_frontier_report(check):
     if ok:
         fired = {c: r["fired"] for c, r in front.items() if c.startswith("T2")}
         detail = (
-            f"wrote reports/frontier_n4.json over {len(records)} curves, {dt:.1f}s; "
+            f"wrote frontier_n4.json over {len(records)} curves, {dt:.1f}s; "
             f"T2-ii agrees on all {row['fired']} cases where the rank criterion "
             f"fires; fired counts {fired}"
         )

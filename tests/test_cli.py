@@ -84,6 +84,20 @@ def test_spec_error_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minimal", "--max", "29", "--exclude", "15", "--target", "2/7", "--max-weight", "1"],
+        ["density", "--set", "3,5", "--l-max", "0"],
+    ],
+)
+def test_unsatisfiable_request_exits_3(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_sweep_writes_report(tmp_path, capsys):
     out = tmp_path / "g3.jsonl"
     frontier = tmp_path / "frontier.json"

@@ -1,15 +1,11 @@
 import pytest
 
 from np2.field import (
-    FieldElement,
-    abs_trace,
     embed_bits,
     embedding_root,
-    enumerate_field,
     field_table,
     is_irreducible,
     make_ctx,
-    mul,
     primitive_element,
     smallest_irreducible,
 )
@@ -90,21 +86,6 @@ def test_pow_and_fermat():
         c = make_ctx(a)
         for x in range(1, c.q):
             assert c.pow_(x, c.q - 1) == 1
-
-
-def test_field_element_api():
-    x = FieldElement(0b10, 2)
-    y = FieldElement(0b11, 2)
-    assert (x * y).bits == 1
-    assert (x + y).bits == 1
-    assert mul(x, y) == FieldElement(1, 2)
-    assert abs_trace(x) == 1
-    with pytest.raises(ValueError):
-        mul(x, FieldElement(1, 3))
-    with pytest.raises(ValueError):
-        FieldElement(4, 2)
-    els = list(enumerate_field(make_ctx(2)))
-    assert [e.bits for e in els] == [0, 1, 2, 3]
 
 
 def test_primitive_element_orders():

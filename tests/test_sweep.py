@@ -1,8 +1,11 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from np2 import sweep
 from np2.sweep import (
     SweepSpec,
     evaluate_curve,
@@ -10,7 +13,6 @@ from np2.sweep import (
     iter_curves,
     parse_coeffs,
     record_from_json,
-    record_to_json,
     report_lines,
     run_sweep,
 )
@@ -89,10 +91,12 @@ def test_record_rerun_reproduces_verdicts():
 
 
 def test_jsonl_roundtrip():
-    records, _ = run_sweep(spec_g3())
-    for rec in records:
-        back = record_from_json(record_to_json(rec))
-        assert back == replace(rec, elapsed=None)
+    # the id family has absent verdicts and integer case-ladder vertices
+    records, _ = run_sweep(SweepSpec(1, 10, fixed=ID_FIX))
+    for rec, line in zip(records, report_lines(records, "jsonl")):
+        assert record_from_json(line) == replace(rec, elapsed=None)
+    for rec, line in zip(records, report_lines(records, "jsonl", timing=True)):
+        assert record_from_json(line) == rec
 
 
 def test_csv_header_only_when_empty():
@@ -148,3 +152,72 @@ def test_parse_coeffs_rejects_duplicates():
     assert parse_coeffs("7:1,3:1") == {7: 1, 3: 1}
     with pytest.raises(ValueError, match="repeated"):
         parse_coeffs("7:1,7:1")
+
+
+def test_case_ladder_below_its_genus_is_absent():
+    # the case ladder starts at genus 3; the other routes still run
+    records, summary = run_sweep(SweepSpec(1, 2))
+    assert summary.total == summary.absences == 4
+    assert summary.disagreements == 0
+    for r in records:
+        assert r.hasse_case is r.hasse_vertex is r.large_n_caveat is None
+        assert r.agree_oracle_hasse is r.agree_vss_hasse is None
+        assert r.vss is None or r.oracle == r.vss
+    assert frontier_summary(records) == {}
+
+
+def test_threads_clamped_to_cpu_count(monkeypatch):
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("NP2_THREADS", "8")
+    records, _ = run_sweep(spec_g3())
+    assert seen == [2]
+    assert len(records) == 8
+
+
+def _digest(lines):
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec, jsonl, csv, frontier",
+    [
+        (
+            SweepSpec(1, 10),
+            "1c86475179a81eef110d74ae9d6f370567607776c32167c970357e97ea9e883c",
+            "4fed60c7c76db34cbe291b6727f8bd675bfc9d93f118db9962b48c6d599041ab",
+            "0d83f20bec64f2879bc7bd3bbfb28f3a28e2dfd4899766b859e0b3420e83d46a",
+        ),
+        (
+            SweepSpec(2, 5, mode="random", seed=7, count=50),
+            "4f5dc776be721c5a1bfd90b04f6ccc167da879947e66a3443b5f3f3bd57d001b",
+            "7ff3ee26f34fded65c518e651ee27566daaaf2f57d348684a1ef49dd6bbf1cff",
+            None,
+        ),
+    ],
+)
+def test_report_bytes_pinned(monkeypatch, spec, jsonl, csv, frontier):
+    # sha256 of the files `np2 sweep` writes for these families; the
+    # reports are a stable format, so a change here is a format change
+    monkeypatch.delenv("NP2_THREADS", raising=False)
+    records, _ = run_sweep(spec)
+    assert _digest(report_lines(records, "jsonl")) == jsonl
+    assert _digest(report_lines(records, "csv")) == csv
+    if frontier:
+        text = json.dumps(frontier_summary(records), indent=2, sort_keys=True)
+        assert _digest([text]) == frontier
