@@ -35,32 +35,19 @@ def _pgcd(a: int, b: int) -> int:
     return a
 
 
-def _pmulmod(a: int, b: int, mod: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-    return _pmod(r, mod)
-
-
 def is_irreducible(poly: int) -> bool:
     """Rabin's test for irreducibility over GF(2)."""
     d = _pdeg(poly)
     if d < 1:
         return False
+    # square in F_2[x] / poly; x itself needs reducing when d = 1
+    ring = FieldCtx(d, poly)
+    x = _pmod(0b10, poly)
     # x^(2^d) must equal x mod poly
-    h = 0b10
-    for _ in range(d):
-        h = _pmulmod(h, h, poly)
-    if h != _pmod(0b10, poly):
+    if ring.frobenius(x, d) != x:
         return False
     for r in _prime_divisors(d):
-        h = 0b10
-        for _ in range(d // r):
-            h = _pmulmod(h, h, poly)
-        if _pgcd(h ^ _pmod(0b10, poly), poly) != 1:
+        if _pgcd(ring.frobenius(x, d // r) ^ x, poly) != 1:
             return False
     return True
 

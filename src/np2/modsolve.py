@@ -293,16 +293,16 @@ def density(D, l_max: int | None = None) -> DensityResult:
         if l > SIGMA_LENGTH_CAP:
             capped.append(l)
             continue
-        s = sigma(D, l)
-        sigmas.append((l, s))
-        val = Fraction(s, l)
+        sol = min_weight_solution(D, l)
+        sigmas.append((l, sol.weight))
+        val = Fraction(sol.weight, l)
         if best is None or val < best[0]:
-            best = (val, l)
+            best = (val, l, sol)
     if best is None:
         raise AssertionError("unreachable: length 1 is always searched")
-    value, at = best
+    value, at, witness = best
     certified = _certified(value, maxd, l_max, capped)
-    return DensityResult(value, at, min_weight_solution(D, at), certified, tuple(sigmas))
+    return DensityResult(value, at, witness, certified, tuple(sigmas))
 
 
 def _certified(value: Fraction, maxd: int, l_max: int, capped: list[int]) -> bool:

@@ -18,7 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from operator import attrgetter
 from random import Random
 from typing import Callable
@@ -146,23 +146,15 @@ def iter_curves(spec: SweepSpec):
     q = 1 << spec.field_degree
     deg = 2 * spec.genus + 1
     fixed = dict(spec.fixed)
-    lower = list(range(1, deg, 2))
+    lower = range(1, deg, 2)
     if spec.mode == "exhaustive":
-        def rec(i, coeffs):
-            if i == len(lower):
-                for lead in (fixed[deg],) if deg in fixed else range(1, q):
-                    full = dict(coeffs)
-                    full[deg] = lead
-                    yield CurvePoly.make(spec.field_degree, full)
-                return
-            e = lower[i]
-            for c in (fixed[e],) if e in fixed else range(q):
-                if c:
-                    coeffs[e] = c
-                yield from rec(i + 1, coeffs)
-                coeffs.pop(e, None)
-
-        yield from rec(0, {})
+        # the lowest exponent varies slowest, the leading coefficient fastest
+        exps = range(1, deg + 1, 2)
+        choices = [
+            (fixed[e],) if e in fixed else range(1 if e == deg else 0, q) for e in exps
+        ]
+        for values in product(*choices):
+            yield CurvePoly.make(spec.field_degree, dict(zip(exps, values)))
     else:
         rng = Random(spec.seed)
         for _ in range(spec.count):
@@ -259,9 +251,17 @@ def summarize(records) -> SweepSummary:
     return SweepSummary(len(records), agreements, disagreements, reference_dis, absences)
 
 
+def _threads() -> int:
+    """Worker processes: NP2_THREADS clamped to the CPU count; unset or empty is 1."""
+    raw = os.environ.get("NP2_THREADS") or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"NP2_THREADS must be a positive integer, not {raw!r}")
+    return min(int(raw), os.cpu_count() or 1)
+
+
 def run_sweep(spec: SweepSpec) -> tuple[list[VerdictRecord], SweepSummary]:
+    threads = _threads()
     curves = list(iter_curves(spec))
-    threads = min(int(os.environ.get("NP2_THREADS", "1") or "1"), os.cpu_count() or 1)
     if threads > 1 and len(curves) > 1:
         jobs = [(f, spec.predictors) for f in curves]
         chunk = max(1, len(jobs) // (threads * 8))

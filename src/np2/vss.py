@@ -99,12 +99,12 @@ def _row_reduce(ctx: FieldCtx, rows) -> list[tuple[int, ...]]:
     return [tuple(r) for _, r in basis]
 
 
-def _apply(ctx: FieldCtx, M: MinimalSupportMatrix, v, twist_power: int):
+def _apply(ctx: FieldCtx, M: MinimalSupportMatrix, v):
+    """phi(v) = sum_i v_i^2 * row_i, the squaring-twisted map of M."""
     n = len(M.sigma)
     out = [0] * n
     for i, a in enumerate(v):
-        for _ in range(twist_power):
-            a = ctx.mul(a, a)
+        a = ctx.mul(a, a)
         if a == 0:
             continue
         row = M.entries[i]
@@ -118,19 +118,18 @@ def _apply(ctx: FieldCtx, M: MinimalSupportMatrix, v, twist_power: int):
     return tuple(out)
 
 
-def vss_dim(M: MinimalSupportMatrix, ctx: FieldCtx | None = None, twist_power: int = 1) -> int:
+def vss_dim(M: MinimalSupportMatrix) -> int:
     """Dimension of the stable image of the twisted map.
 
     Iterates W_{k+1} = phi(W_k) from the full space; the chain descends,
     so the first repeat of the dimension is the stable value.
     """
-    if ctx is None:
-        ctx = make_ctx(M.field_degree)
+    ctx = make_ctx(M.field_degree)
     n = len(M.sigma)
     basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     dim = n
     for _ in range(n + 1):
-        basis = _row_reduce(ctx, [_apply(ctx, M, v, twist_power) for v in basis])
+        basis = _row_reduce(ctx, [_apply(ctx, M, v) for v in basis])
         if len(basis) == dim:
             return dim
         if len(basis) > dim:

@@ -23,8 +23,6 @@ import numpy as np
 
 from .field import TABLE_DEGREE_CAP, FieldCtx, embed_bits, field_table, make_ctx
 
-MAX_EXT_DEGREE = 30
-
 
 @dataclass(frozen=True)
 class CurvePoly:
@@ -79,9 +77,6 @@ class CurvePoly:
                 return c
         return 0
 
-    def evaluate(self, x: int) -> int:
-        return _eval_sparse(make_ctx(self.field_degree), self.coeffs, x)
-
 
 def _eval_sparse(ctx: FieldCtx, items, x: int) -> int:
     """Horner evaluation over the gaps of a sparse polynomial."""
@@ -92,21 +87,30 @@ def _eval_sparse(ctx: FieldCtx, items, x: int) -> int:
     return ctx.mul(r, ctx.pow_(x, e_prev))
 
 
-def exponential_sum(f: CurvePoly, m: int, method: str = "auto") -> int:
-    """S_m = sum over F_{2^(am)} of (-1)^Tr(f(x))."""
+def _check_extension_degree(am: int) -> None:
+    if not 1 <= am <= TABLE_DEGREE_CAP:
+        raise ValueError(f"extension degree {am} outside 1..{TABLE_DEGREE_CAP}, the table cap")
+
+
+def exponential_sum(f: CurvePoly, m: int) -> int:
+    """S_m = sum over F_{2^(am)} of (-1)^Tr(f(x)), from the field tables.
+
+    Raises ValueError when the extension degree am exceeds
+    TABLE_DEGREE_CAP, where no table is built.
+    """
     am = f.field_degree * m
-    if m < 1 or am > MAX_EXT_DEGREE:
-        raise ValueError(f"extension degree {am} out of range 1..{MAX_EXT_DEGREE}")
-    if method == "auto":
-        method = "table" if am <= TABLE_DEGREE_CAP else "scalar"
-    if method == "table":
-        return _exponential_sum_table(f, am)
-    if method == "scalar":
-        return _exponential_sum_scalar(f, am)
-    raise ValueError(f"unknown method {method!r}")
+    _check_extension_degree(am)
+    n = (1 << am) - 1
+    acc = np.zeros(n, dtype=np.uint8)
+    for e, c in f.coeffs:
+        cb = embed_bits(c, f.field_degree, am)
+        acc ^= _trace_row(am, e % n if e % n else n, cb)
+    # x = 0 contributes +1 since f(0) = 0
+    return (1 << am) - 2 * int(acc.sum())
 
 
 def _exponential_sum_scalar(f: CurvePoly, am: int) -> int:
+    """Element-by-element S over F_{2^am}; the reference for the tables."""
     ctx = make_ctx(am)
     emb = tuple((e, embed_bits(c, f.field_degree, am)) for e, c in f.coeffs)
     s = 0
@@ -126,16 +130,6 @@ def _trace_row(am: int, e: int, cbits: int) -> np.ndarray:
     return row
 
 
-def _exponential_sum_table(f: CurvePoly, am: int) -> int:
-    n = (1 << am) - 1
-    acc = np.zeros(n, dtype=np.uint8)
-    for e, c in f.coeffs:
-        cb = embed_bits(c, f.field_degree, am)
-        acc ^= _trace_row(am, e % n if e % n else n, cb)
-    # x = 0 contributes +1 since f(0) = 0
-    return (1 << am) - 2 * int(acc.sum())
-
-
 def point_count(f: CurvePoly, m: int = 1) -> int:
     """#C(F_{q^m}) including the one point at infinity."""
     return f.q ** m + 1 + exponential_sum(f, m)
@@ -147,13 +141,16 @@ def l_polynomial(f: CurvePoly, full: bool = False) -> list[int]:
     With full=False the sums S_1..S_g are computed and the upper half is
     filled in from the functional equation a_(2g-k) = q^(g-k) a_k.  With
     full=True all of S_1..S_2g are computed and the functional equation,
-    the Weil bound and evenness of a_1..a_2g are verified.
+    the Weil bound and evenness of a_1..a_2g are verified.  Raises
+    ValueError, before computing any sum, when S_top lies past the
+    field table cap (a * g or a * 2g above TABLE_DEGREE_CAP).
     """
     g = f.genus
     q = f.q
     if g == 0:
         return [1]
     top = 2 * g if full else g
+    _check_extension_degree(f.field_degree * top)
     s = [exponential_sum(f, m) for m in range(1, top + 1)]
     a = [1] + [0] * (2 * g)
     for k in range(1, top + 1):
@@ -223,5 +220,5 @@ def first_vertex(vertices) -> tuple[int, Fraction]:
     return vertices[1]
 
 
-def newton_polygon_of_curve(f: CurvePoly, full: bool = False) -> list[tuple[int, Fraction]]:
-    return newton_polygon(l_polynomial(f, full=full), f.q)
+def newton_polygon_of_curve(f: CurvePoly) -> list[tuple[int, Fraction]]:
+    return newton_polygon(l_polynomial(f), f.q)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import np2.zeta
 from np2.cli import main
+from np2.field import TABLE_DEGREE_CAP
 
 
 def run_json(capsys, argv):
@@ -89,13 +91,23 @@ def test_spec_error_exit_codes(capsys):
     [
         ["minimal", "--max", "29", "--exclude", "15", "--target", "2/7", "--max-weight", "1"],
         ["density", "--set", "3,5", "--l-max", "0"],
+        # past the field table cap: extension degrees 23, 24 and 24
+        ["np", "--q", "2", "--coeffs", "47:1"],
+        ["zeta", "--q", "2", "--coeffs", "25:1", "--full"],
+        ["sweep", "--q", "4", "--g", "12", "--random", "--count", "1"],
     ],
 )
-def test_unsatisfiable_request_exits_3(capsys, argv):
+def test_unsatisfiable_request_exits_3(capsys, monkeypatch, argv):
+    def no_sums(*args):
+        raise AssertionError("an exponential sum was computed before refusing")
+
+    monkeypatch.setattr(np2.zeta, "exponential_sum", no_sums)
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if argv[0] in ("np", "zeta", "sweep"):
+        assert "extension degree 2" in err and f"outside 1..{TABLE_DEGREE_CAP}" in err
 
 
 def test_sweep_writes_report(tmp_path, capsys):

@@ -31,6 +31,18 @@ def test_canonical_moduli_frozen():
     assert smallest_irreducible(3) == 0b1011
     assert smallest_irreducible(4) == 0b10011
     assert smallest_irreducible(5) == 0b100101
+    # the remaining rows of README's table
+    assert smallest_irreducible(6) == 0b1000011
+    assert smallest_irreducible(7) == 0b10000011
+    assert smallest_irreducible(8) == 0b100011011
+    assert smallest_irreducible(9) == 0b1000000011
+    assert smallest_irreducible(10) == 0b10000001001
+    assert smallest_irreducible(11) == 0b100000000101
+    assert smallest_irreducible(12) == 0b1000000001001
+    assert smallest_irreducible(13) == 0b10000000011011
+    assert smallest_irreducible(14) == 0b100000000100001
+    assert smallest_irreducible(15) == 0b1000000000000011
+    assert smallest_irreducible(16) == 0b10000000000101011
 
 
 def test_irreducibility_matches_trial_division():

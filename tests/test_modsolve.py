@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import np2.modsolve
 from helpers import exhaustive_irreducible_classes, scalar_sigma
 from np2.modsolve import (
     DensityResult,
@@ -204,6 +205,21 @@ def test_density_single_exponent():
 def test_density_uncertified_when_horizon_too_short():
     r = density(odds_up_to(13), l_max=2)
     assert not r.certified
+
+
+@pytest.mark.parametrize("top, value", [(23, Fraction(2, 7)), (29, Fraction(1, 4))])
+def test_density_searches_each_length_once(monkeypatch, top, value):
+    searched = []
+
+    def counted(D, l):
+        searched.append(l)
+        return min_weight_solution(D, l)
+
+    monkeypatch.setattr(np2.modsolve, "min_weight_solution", counted)
+    r = density(odds_up_to(top, exclude=(15,)))
+    assert len(searched) == len(set(searched))
+    assert (r.value, r.certified) == (value, True)
+    assert r.witness == min_weight_solution(odds_up_to(top, exclude=(15,)), r.length)
 
 
 def test_density_spot_values():

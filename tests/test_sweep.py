@@ -190,6 +190,21 @@ def test_threads_clamped_to_cpu_count(monkeypatch):
     assert len(records) == 8
 
 
+@pytest.mark.parametrize("value", ["x", "-2", "0", "1.5"])
+def test_threads_must_be_a_positive_integer(monkeypatch, value):
+    def no_pool(max_workers):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("NP2_THREADS", value)
+    with pytest.raises(ValueError, match="NP2_THREADS"):
+        run_sweep(spec_g3())
+    # an empty value means unset: one process
+    monkeypatch.setenv("NP2_THREADS", "")
+    records, _ = run_sweep(spec_g3())
+    assert len(records) == 8
+
+
 def _digest(lines):
     return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
 
