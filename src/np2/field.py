@@ -209,13 +209,33 @@ def embed_bits(bits: int, a_small: int, a_big: int) -> int:
     return r
 
 
+def _mul_by_const(ctx: FieldCtx, c: int, xs: np.ndarray) -> np.ndarray:
+    """c * x for every x in the int32 array xs, as a new int32 array.
+
+    Multiplying by c is F_2-linear, so it is applied one input byte at a
+    time through a lookup table of c times that byte, the byte tables
+    XOR-ed together.  Each table is spanned by its basis images c * t^i.
+    """
+    out = np.zeros(xs.shape, dtype=np.int32)
+    for lo in range(0, ctx.degree, 8):
+        nbits = min(8, ctx.degree - lo)
+        tab = np.zeros(1 << nbits, dtype=np.int32)
+        for i in range(nbits):
+            tab[1 << i : 2 << i] = tab[: 1 << i] ^ ctx.mul(c, 1 << (lo + i))
+        byte = xs >> lo
+        byte &= (1 << nbits) - 1
+        out ^= tab[byte]
+    return out
+
+
 class FieldTable:
     """Bulk lookup tables for one field: discrete logs and traces.
 
     exp[j] = g^j for the canonical primitive element g, log inverts it
     (log[0] = -1), trace[x] is the absolute trace bit of x, and
     trace_of_exp[j] = trace[exp[j]].  Used by the vectorized character
-    sum loops.
+    sum loops.  exp and log are int32, trace and trace_of_exp uint8:
+    10 * 2^degree bytes in all.
     """
 
     def __init__(self, degree: int):
@@ -225,23 +245,27 @@ class FieldTable:
         self.degree = degree
         self.ctx = ctx
         q = ctx.q
+        n = q - 1
         g = primitive_element(degree)
-        exp = np.empty(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        v = 1
-        for j in range(q - 1):
-            exp[j] = v
-            log[v] = j
-            v = ctx.mul(v, g)
-        if v != 1:
+        # exp[k:2k] = g^k exp[:k], so log2(n) whole-array steps fill it
+        exp = np.empty(n, dtype=np.int32)
+        exp[0] = 1
+        k, gk = 1, g
+        while k < n:
+            take = min(k, n - k)
+            exp[k : k + take] = _mul_by_const(ctx, gk, exp[:take])
+            k += take
+            gk = ctx.mul(gk, gk)
+        log = np.full(q, -1, dtype=np.int32)
+        log[exp] = np.arange(n, dtype=np.int32)
+        if ctx.mul(int(exp[-1]), g) != 1 or (log[1:] < 0).any():
             raise AssertionError("generator order mismatch")
         self.exp = exp
         self.log = log
-        xs = np.arange(q, dtype=np.int64)
+        # Tr is F_2-linear: Tr(x + t^i) = Tr(x) + Tr(t^i) for x < 2^i
         tr = np.zeros(q, dtype=np.uint8)
         for i in range(degree):
-            if ctx.trace(1 << i):
-                tr ^= ((xs >> i) & 1).astype(np.uint8)
+            tr[1 << i : 2 << i] = tr[: 1 << i] ^ ctx.trace(1 << i)
         self.trace = tr
         self.trace_of_exp = tr[exp]
 

@@ -124,7 +124,10 @@ def _trace_row(am: int, e: int, cbits: int) -> np.ndarray:
     """Trace bits of c g^(j e) for j = 0..2^am - 2, g the canonical generator."""
     tab = field_table(am)
     n = (1 << am) - 1
-    idx = (np.arange(n, dtype=np.int64) * e + int(tab.log[cbits])) % n
+    idx = np.arange(n, dtype=np.int64)
+    idx *= e
+    idx += int(tab.log[cbits])
+    idx %= n
     row = tab.trace_of_exp[idx]
     row.setflags(write=False)
     return row

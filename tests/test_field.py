@@ -1,6 +1,13 @@
+import random
+
+import numpy as np
 import pytest
 
+import np2.field
 from np2.field import (
+    FieldCtx,
+    FieldTable,
+    _mul_by_const,
     embed_bits,
     embedding_root,
     field_table,
@@ -156,6 +163,95 @@ def test_field_table_consistency():
             assert tab.trace[x] == c.trace(x)
         for j in range(q - 1):
             assert tab.trace_of_exp[j] == tab.trace[tab.exp[j]]
+
+
+def per_element_table(a):
+    """Reference: exp/log filled one FieldCtx.mul per element, trace bit by bit."""
+    ctx = make_ctx(a)
+    q = ctx.q
+    g = primitive_element(a)
+    exp = np.empty(q - 1, dtype=np.int32)
+    log = np.full(q, -1, dtype=np.int32)
+    v = 1
+    for j in range(q - 1):
+        exp[j] = v
+        log[v] = j
+        v = ctx.mul(v, g)
+    assert v == 1
+    xs = np.arange(q, dtype=np.int64)
+    tr = np.zeros(q, dtype=np.uint8)
+    for i in range(a):
+        if ctx.trace(1 << i):
+            tr ^= ((xs >> i) & 1).astype(np.uint8)
+    return {"exp": exp, "log": log, "trace": tr, "trace_of_exp": tr[exp]}
+
+
+def test_field_table_matches_per_element_build():
+    for a in range(1, 17):
+        tab = FieldTable(a)
+        for name, want in per_element_table(a).items():
+            got = getattr(tab, name)
+            assert got.dtype == want.dtype, (a, name)
+            assert np.array_equal(got, want), (a, name)
+
+
+def test_field_table_degree_22_spot_checks():
+    a = 22
+    tab = field_table(a)
+    ctx = make_ctx(a)
+    g = primitive_element(a)
+    n = ctx.q - 1
+    assert tab.exp.dtype == np.int32 and tab.log.dtype == np.int32
+    assert len(tab.exp) == n and len(tab.log) == ctx.q and tab.log[0] == -1
+    rng = random.Random(22)
+    for _ in range(2000):
+        j = rng.randrange(n)
+        x = int(tab.exp[j])
+        assert int(tab.exp[(j + 1) % n]) == ctx.mul(x, g)
+        assert tab.log[x] == j
+        y = rng.randrange(ctx.q)
+        assert tab.trace[y] == ctx.trace(y)
+        assert tab.trace_of_exp[j] == tab.trace[x]
+
+
+def test_mul_by_const_at_byte_boundaries():
+    rng = random.Random(8)
+    for a in (1, 8, 9, 16, 17, 22):
+        ctx = make_ctx(a)
+        # every single-bit input, both ends of the range, then random ones
+        xs = [0, 1, ctx.q - 1] + [1 << i for i in range(a)]
+        xs += [rng.randrange(ctx.q) for _ in range(200)]
+        arr = np.array(xs, dtype=np.int32)
+        for c in (1, ctx.q - 1, primitive_element(a), rng.randrange(ctx.q)):
+            got = _mul_by_const(ctx, c, arr)
+            assert got.dtype == np.int32
+            assert got.tolist() == [ctx.mul(c, x) for x in xs], (a, c)
+
+
+def test_field_table_detects_wrong_generator_order(monkeypatch):
+    # t^3 has order 5 in F_16 = F_2[t] / (t^4 + t + 1)
+    assert make_ctx(4).pow_(0b1000, 5) == 1
+    monkeypatch.setattr(np2.field, "primitive_element", lambda a: 0b1000)
+    with pytest.raises(AssertionError, match="generator order"):
+        FieldTable(4)
+
+
+def test_field_table_build_takes_few_multiplications(monkeypatch):
+    a = 20
+    # warm the modulus and generator caches, which also multiply
+    make_ctx(a)
+    primitive_element(a)
+    calls = 0
+    mul = FieldCtx.mul
+
+    def counting_mul(self, x, y):
+        nonlocal calls
+        calls += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(FieldCtx, "mul", counting_mul)
+    FieldTable(a)
+    assert 0 < calls < 5000
 
 
 def test_embedding_root_frozen_small_cases():
