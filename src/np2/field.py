@@ -243,7 +243,6 @@ class FieldTable:
             raise ValueError(f"table for degree {degree} exceeds cap {TABLE_DEGREE_CAP}")
         ctx = make_ctx(degree)
         self.degree = degree
-        self.ctx = ctx
         q = ctx.q
         n = q - 1
         g = primitive_element(degree)

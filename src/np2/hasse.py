@@ -79,41 +79,26 @@ def _value_t2_v(ctx, c, n):
     )
 
 
-_T2_VALUES = {
-    "T2-ia": _value_t2_ia,
-    "T2-ib": _value_t2_ib,
-    "T2-ic": _value_t2_ic,
-    "T2-id": _value_t2_id,
-    "T2-ii": _value_t2_ii,
-    "T2-iii": _value_t2_iii,
-    "T2-iv": _value_t2_iv,
-    "T2-v": _value_t2_v,
-}
+def _t2_ladder(n):
+    """The fallback cases at level n as (case, lo, hi, vertex, value, slope_at_least).
 
-_T2_VERTICES = {
-    "T2-ia": lambda n: (2 * n - 2, 2),
-    "T2-ib": lambda n: (2 * n - 2, 2),
-    "T2-ic": lambda n: (3 * n - 3, 3),
-    "T2-id": lambda n: (3 * n - 3, 3),
-    "T2-ii": lambda n: (2 * n - 1, 2),
-    "T2-iii": lambda n: (2 * n - 1, 2),
-    "T2-iv": lambda n: (2 * n - 1, 2),
-    "T2-v": lambda n: (2 * n - 1, 2),
-}
-
-
-def _t2_intervals(n):
-    # tried in order; the first interval holding 2g+1 wins (at n = 3 the
-    # equality cases overlap and this order resolves the tie)
+    A case holds 2g+1 when lo <= 2g+1 < hi, bounds in units of
+    p = 2^(n-2); value(ctx, c, n) is its Hasse value, vertex the first
+    vertex when that value is nonzero, and slope_at_least the slope
+    bound when it vanishes.  Rows are tried in order and the first that
+    holds 2g+1 wins (at n = 3 the equality cases overlap and this order
+    resolves the tie).
+    """
+    p = 1 << (n - 2)
     return (
-        ("T2-ia", (1 << n), 5 * (1 << (n - 2)) - 1),
-        ("T2-ib", 5 * (1 << (n - 2)) - 1, 3 * (1 << (n - 1)) - 5),
-        ("T2-ic", 3 * (1 << (n - 1)) - 5, 3 * (1 << (n - 1)) - 4),
-        ("T2-id", 3 * (1 << (n - 1)) - 3, 3 * (1 << (n - 1)) - 2),
-        ("T2-ii", 3 * (1 << (n - 1)) - 1, (1 << (n + 1)) - 7),
-        ("T2-iii", (1 << (n + 1)) - 7, (1 << (n + 1)) - 6),
-        ("T2-iv", (1 << (n + 1)) - 5, (1 << (n + 1)) - 4),
-        ("T2-v", (1 << (n + 1)) - 3, (1 << (n + 1)) - 2),
+        ("T2-ia", 4 * p, 5 * p - 1, (2 * n - 2, 2), _value_t2_ia, None),
+        ("T2-ib", 5 * p - 1, 6 * p - 5, (2 * n - 2, 2), _value_t2_ib, None),
+        ("T2-ic", 6 * p - 5, 6 * p - 4, (3 * n - 3, 3), _value_t2_ic, None),
+        ("T2-id", 6 * p - 3, 6 * p - 2, (3 * n - 3, 3), _value_t2_id, None),
+        ("T2-ii", 6 * p - 1, 8 * p - 7, (2 * n - 1, 2), _value_t2_ii, Fraction(1, n - 1)),
+        ("T2-iii", 8 * p - 7, 8 * p - 6, (2 * n - 1, 2), _value_t2_iii, None),
+        ("T2-iv", 8 * p - 5, 8 * p - 4, (2 * n - 1, 2), _value_t2_iv, None),
+        ("T2-v", 8 * p - 3, 8 * p - 2, (2 * n - 1, 2), _value_t2_v, None),
     )
 
 
@@ -132,12 +117,11 @@ def classify(f: CurvePoly) -> TheoremCase:
     if lead:
         case_id = "T1-iib" if deg == top else "T1-i"
         return TheoremCase(case_id, n, lead, (n, 1), False)
-    for case_id, lo, hi in _t2_intervals(n):
+    for case_id, lo, hi, vertex, value_of, slope in _t2_ladder(n):
         if lo <= deg < hi:
-            value = _T2_VALUES[case_id](ctx, c, n)
+            value = value_of(ctx, c, n)
             if value:
-                return TheoremCase(case_id, n, value, _T2_VERTICES[case_id](n), True)
-            slope = Fraction(1, n - 1) if case_id == "T2-ii" else None
+                return TheoremCase(case_id, n, value, vertex, True)
             return TheoremCase(case_id, n, 0, None, True, slope)
     return TheoremCase("out-of-ladder", n, 0, None, True)
 

@@ -89,12 +89,6 @@ class ModSolution:
     def density(self) -> Fraction:
         return Fraction(self.weight, self.length)
 
-    def digit(self, d: int) -> int:
-        for dd, u in self.digits:
-            if dd == d:
-                return u
-        return 0
-
     def shift(self) -> "ModSolution":
         """Rotate every digit by one bit; a solution again, same weight."""
         return ModSolution(

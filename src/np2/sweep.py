@@ -1,11 +1,12 @@
 """Sweep harness: run the predictor routes over curve families and
 serialize one verdict per curve.
 
-Sweeps are deterministic: exhaustive families enumerate coefficient
-vectors in encoding order, random families pre-draw all curves from a
-seed, and records are sorted by encoding after evaluation, so parallel
-and serial runs produce byte-identical reports.  Timing is kept out of
-the serialized forms by default so report digests are stable.
+Sweeps are deterministic: iter_curves alone decides report order.
+Exhaustive families come out in encoding order as they are enumerated;
+random families pre-draw all curves from a seed and come out sorted by
+encoding.  Records keep that order, serially and in parallel, so both
+produce byte-identical reports.  Timing is kept out of the serialized
+forms by default so report digests are stable.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from operator import attrgetter
 from random import Random
 from typing import Callable
@@ -141,29 +142,33 @@ class SweepSpec:
 
 
 def iter_curves(spec: SweepSpec):
-    """Curves of the family, in deterministic order."""
+    """Curves of the family in report order.
+
+    That is ascending order of the dense coefficient tuple
+    (c_1, c_3, ..., c_{2g+1}); duplicate random draws keep draw order.
+    """
     spec.validate()
     q = 1 << spec.field_degree
     deg = 2 * spec.genus + 1
     fixed = dict(spec.fixed)
-    lower = range(1, deg, 2)
+    exps = range(1, deg + 1, 2)
     if spec.mode == "exhaustive":
-        # the lowest exponent varies slowest, the leading coefficient fastest
-        exps = range(1, deg + 1, 2)
+        # the lowest exponent varies slowest, so product order is ascending
         choices = [
             (fixed[e],) if e in fixed else range(1 if e == deg else 0, q) for e in exps
         ]
-        for values in product(*choices):
-            yield CurvePoly.make(spec.field_degree, dict(zip(exps, values)))
+        dense = product(*choices)
     else:
         rng = Random(spec.seed)
+        draws = []
         for _ in range(spec.count):
-            coeffs = {deg: fixed.get(deg, rng.randrange(1, q))}
-            for e in lower:
-                c = fixed[e] if e in fixed else rng.randrange(q)
-                if c:
-                    coeffs[e] = c
-            yield CurvePoly.make(spec.field_degree, coeffs)
+            # the leading coefficient is drawn first, even when it is fixed
+            lead = fixed.get(deg, rng.randrange(1, q))
+            lower = tuple(fixed[e] if e in fixed else rng.randrange(q) for e in exps[:-1])
+            draws.append(lower + (lead,))
+        dense = sorted(draws)
+    for values in dense:
+        yield CurvePoly.make(spec.field_degree, dict(zip(exps, values)))
 
 
 @dataclass(frozen=True)
@@ -209,18 +214,6 @@ def evaluate_curve(f: CurvePoly, predictors=PREDICTORS) -> VerdictRecord:
     )
 
 
-def _evaluate_job(job):
-    f, predictors = job
-    return evaluate_curve(f, predictors)
-
-
-def _record_key(rec: VerdictRecord):
-    dense = [0] * (rec.genus + 1)
-    for e, c in rec.coeffs:
-        dense[(e - 1) // 2] = c
-    return (rec.field_degree, rec.genus, tuple(dense))
-
-
 @dataclass(frozen=True)
 class SweepSummary:
     total: int
@@ -261,15 +254,15 @@ def _threads() -> int:
 
 def run_sweep(spec: SweepSpec) -> tuple[list[VerdictRecord], SweepSummary]:
     threads = _threads()
-    curves = list(iter_curves(spec))
-    if threads > 1 and len(curves) > 1:
-        jobs = [(f, spec.predictors) for f in curves]
-        chunk = max(1, len(jobs) // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_evaluate_job, jobs, chunksize=chunk))
+    if threads == 1:
+        records = [evaluate_curve(f, spec.predictors) for f in iter_curves(spec)]
     else:
-        records = [evaluate_curve(f, spec.predictors) for f in curves]
-    records.sort(key=_record_key)
+        curves = list(iter_curves(spec))
+        chunk = max(1, len(curves) // (threads * 8))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            records = list(
+                pool.map(evaluate_curve, curves, repeat(spec.predictors), chunksize=chunk)
+            )
     return records, summarize(records)
 
 

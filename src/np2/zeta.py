@@ -102,11 +102,14 @@ def exponential_sum(f: CurvePoly, m: int) -> int:
     _check_extension_degree(am)
     n = (1 << am) - 1
     acc = np.zeros(n, dtype=np.uint8)
+    # Tr(c x^e) is F_2-linear in the bits of c: one cached row per bit
+    basis = [embed_bits(1 << i, f.field_degree, am) for i in range(f.field_degree)]
     for e, c in f.coeffs:
-        cb = embed_bits(c, f.field_degree, am)
-        acc ^= _trace_row(am, e % n if e % n else n, cb)
+        for i, b in enumerate(basis):
+            if c >> i & 1:
+                acc ^= _trace_row(am, e % n or n, b)
     # x = 0 contributes +1 since f(0) = 0
-    return (1 << am) - 2 * int(acc.sum())
+    return (1 << am) - 2 * int(np.count_nonzero(acc))
 
 
 def _exponential_sum_scalar(f: CurvePoly, am: int) -> int:

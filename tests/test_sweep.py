@@ -26,6 +26,11 @@ def spec_g3():
 ID_FIX = ((11, 0), (13, 1), (15, 0), (17, 0), (19, 1), (21, 1))
 
 
+def dense_keys(curves, g):
+    # the report order key: (c_1, c_3, ..., c_{2g+1})
+    return [tuple(f.coeff(e) for e in range(1, 2 * g + 2, 2)) for f in curves]
+
+
 def test_iter_curves_exhaustive():
     curves = list(iter_curves(spec_g3()))
     assert len(curves) == 8
@@ -35,6 +40,31 @@ def test_iter_curves_exhaustive():
     curves = list(iter_curves(SweepSpec(2, 1)))
     assert len(curves) == 12
     assert {f.coeff(3) for f in curves} == {1, 2, 3}
+    # enumeration order is already strictly ascending report order
+    families = [
+        (SweepSpec(1, 10), 1024),
+        (SweepSpec(2, 4), 768),
+        (SweepSpec(3, 3), 3584),
+        (SweepSpec(4, 2), 3840),
+        (SweepSpec(1, 10, fixed=((3, 1), (9, 0), (17, 1))), 128),
+        (SweepSpec(2, 5, fixed=((3, 2),)), 768),
+    ]
+    for spec, size in families:
+        keys = dense_keys(iter_curves(spec), spec.genus)
+        assert len(keys) == size
+        assert all(u < v for u, v in zip(keys, keys[1:])), spec
+
+
+def test_iter_curves_random_in_report_order():
+    # 40 draws from 8 curves: sorted by encoding, every duplicate kept
+    spec = SweepSpec(1, 3, mode="random", seed=7, count=40)
+    keys = dense_keys(iter_curves(spec), 3)
+    assert len(keys) == 40
+    assert len(set(keys)) < 40
+    assert keys == sorted(keys)
+    keys = dense_keys(iter_curves(SweepSpec(2, 5, mode="random", seed=1, count=300)), 5)
+    assert len(keys) == 300
+    assert keys == sorted(keys)
 
 
 def test_iter_curves_fixed():
@@ -179,8 +209,8 @@ def test_threads_clamped_to_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize):
-            return map(fn, jobs)
+        def map(self, fn, *iterables, chunksize):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)

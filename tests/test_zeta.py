@@ -7,6 +7,7 @@ from np2.field import embed_bits, make_ctx
 from np2.zeta import (
     CurvePoly,
     _exponential_sum_scalar,
+    _trace_row,
     exponential_sum,
     first_vertex,
     l_polynomial,
@@ -132,6 +133,21 @@ def test_scalar_and_table_sums_agree():
             if a * m > 12:
                 continue
             assert _exponential_sum_scalar(f, a * m) == exponential_sum(f, m)
+    # F_32: five coefficient bits, each its own trace row
+    for _ in range(4):
+        f = random_curve(rng, 5, rng.randint(1, 3))
+        for m in (1, 2):
+            assert _exponential_sum_scalar(f, 5 * m) == exponential_sum(f, m)
+
+
+def test_trace_rows_cached_per_coefficient_bit():
+    # one row per (am, e, bit of c), not per (am, e, c): at most
+    # 5 bits x 4 extension degrees x 5 exponents for F_32 genus 4
+    _trace_row.cache_clear()
+    rng = random.Random(11)
+    for _ in range(200):
+        l_polynomial(random_curve(rng, 5, 4))
+    assert _trace_row.cache_info().currsize <= 5 * 4 * 5
 
 
 def test_l_polynomial_full_mode_consistency():
