@@ -107,11 +107,6 @@ class ModSolution:
             rot = [(d, _rotl(u, self.length)) for d, u in rot]
         return tuple(out)
 
-    def jump_count(self) -> int:
-        phi = self.support()
-        l = self.length
-        return sum(phi[(i + 1) % l] < 2 * phi[i] for i in range(l))
-
     def is_irreducible(self) -> bool:
         phi = self.support()
         return len(set(phi)) == self.length
@@ -133,26 +128,43 @@ def _moves(D, l) -> list[int]:
 
 
 def _bfs_distances(moves: list[int], m: int) -> np.ndarray:
-    """Minimum number of moves from 0 to every residue mod m."""
+    """Minimum number of moves from 0 to the residues mod m, below sigma.
+
+    Levels up to sigma - 2 are complete.  Level sigma - 1 is the first
+    that holds a residue one move short of 0, and only those residues are
+    labelled there, as no other is read; deeper residues keep -1.
+    """
     dist = np.full(m, -1, dtype=np.int8)
     dist[0] = 0
     mv = np.array(moves, dtype=np.int64)
+    if mv[0] == 0:  # sigma is 1
+        return dist
+    ends = m - mv  # the residues one move short of 0
+    step = max(1, _BFS_CHUNK // mv.size)
     frontier = np.array([0], dtype=np.int64)
     level = 0
-    while frontier.size:
+    while True:
         level += 1
         if level > 120:
             raise AssertionError("search depth exceeded")
-        step = max(1, _BFS_CHUNK // mv.size)
-        parts = []
+        # The level is sigma - 1 if it reaches an end, and then only the
+        # ends are labelled.  No end is labelled earlier, and a negative
+        # index into dist is the residue mod m.
+        closing = np.zeros(ends.size, dtype=bool)
+        for i in range(0, ends.size, step):
+            back = ends[i : i + step, None] - mv[None, :]
+            closing[i : i + step] = (dist[back] == level - 1).any(axis=1)
+        if closing.any():
+            dist[ends[closing]] = level
+            return dist
+        # otherwise scatter the whole level into marks
+        mark = np.zeros(m, dtype=bool)
         for i in range(0, frontier.size, step):
-            block = (frontier[i : i + step, None] + mv[None, :]) % m
-            parts.append(np.unique(block.ravel()))
-        nxt = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
-        nxt = nxt[dist[nxt] < 0]
-        dist[nxt] = level
-        frontier = nxt
-    return dist
+            block = frontier[i : i + step, None] + mv[None, :]
+            block[block >= m] -= m
+            mark[block.ravel()] = True
+        frontier = np.flatnonzero(mark & (dist < 0))
+        dist[frontier] = level
 
 
 def sigma(D, l: int) -> int:

@@ -135,7 +135,13 @@ class SweepSpec:
             if e == deg and c == 0:
                 raise ValueError("leading coefficient cannot be fixed to zero")
         if self.mode == "exhaustive":
-            if q**self.genus > EXHAUSTIVE_CAP:
+            # only free coefficients count; a free leading one is nonzero
+            fixed = dict(self.fixed)
+            size = 1
+            for e in range(1, deg + 1, 2):
+                if e not in fixed:
+                    size *= q - 1 if e == deg else q
+            if size > EXHAUSTIVE_CAP:
                 raise ValueError("exhaustive sweep larger than 2^20 curves")
         elif self.count < 1:
             raise ValueError("random sweep needs a positive count")
@@ -296,10 +302,6 @@ def _vertex_json(v):
     return [v[0], frac_str(v[1]) if isinstance(v[1], Fraction) else v[1]]
 
 
-def _vertex_from_json(v):
-    return (v[0], parse_frac(v[1]) if isinstance(v[1], str) else v[1])
-
-
 def record_row(rec: VerdictRecord, timing: bool = False) -> dict:
     """The report row of a record, {column: value} in column order.
 
@@ -317,27 +319,6 @@ def record_row(rec: VerdictRecord, timing: bool = False) -> dict:
     if timing:
         row["elapsed"] = rec.elapsed
     return row
-
-
-def record_from_json(line: str) -> VerdictRecord:
-    """Inverse of record_row on a JSONL line."""
-    row = json.loads(line)
-    q = row["q"]
-    a = q.bit_length() - 1
-    if 1 << a != q:
-        raise ValueError(f"q = {q} is not a power of two")
-    verdicts = {}
-    for name in VERDICT_FIELDS:
-        v = row[name]
-        verdicts[name] = _vertex_from_json(v) if isinstance(v, list) else v
-    return VerdictRecord(
-        a,
-        row["g"],
-        tuple(sorted(parse_coeffs(row["coeffs"]).items(), reverse=True)),
-        tuple(row["predictors"].split(",")),
-        elapsed=row.get("elapsed"),
-        **verdicts,
-    )
 
 
 def _csv_cell(value):

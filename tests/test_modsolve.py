@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import np2.modsolve
 from helpers import exhaustive_irreducible_classes, scalar_sigma
 from np2.modsolve import (
+    _BFS_CHUNK,
     DensityResult,
     ModSolution,
+    _bfs_distances,
+    _moves,
     density,
     min_weight_solution,
     minimal_irreducible_solutions,
@@ -22,13 +26,19 @@ def test_odds_up_to():
     assert odds_up_to(9, exclude=(7,)) == (1, 3, 5, 9)
 
 
+def jump_count(s: ModSolution) -> int:
+    phi = s.support()
+    l = s.length
+    return sum(phi[(i + 1) % l] < 2 * phi[i] for i in range(l))
+
+
 def test_frozen_single_digit_support():
     s = ModSolution(3, ((7, 1),))
     assert s.support() == (1, 2, 4)
     assert s.weight == 1
     assert s.density == Fraction(1, 3)
     assert s.is_irreducible()
-    assert s.jump_count() == 1
+    assert jump_count(s) == 1
     assert s.shift().digits == ((7, 2),)
     assert s.shift().shift().shift() == s
 
@@ -38,13 +48,13 @@ def test_frozen_two_digit_support():
     assert s.support() == (1, 2, 4, 8, 3, 6)
     assert s.weight == 2
     assert s.is_irreducible()
-    assert s.jump_count() == 2
+    assert jump_count(s) == 2
 
 
 def test_frozen_reducible():
     s = ModSolution(2, ((1, 3),))
     assert s.support() == (1, 1)
-    assert s.jump_count() == 2
+    assert jump_count(s) == 2
     assert not s.is_irreducible()
 
 
@@ -150,6 +160,63 @@ def test_sigma_matches_scalar_bfs_paper_sets():
     for D in sets:
         for l in range(1, 13):
             assert sigma(D, l) == scalar_sigma(D, l), (D, l)
+
+
+def full_depth_bfs_distances(moves, m):
+    """Reference for _bfs_distances: every level, each deduplicated by np.unique."""
+    dist = np.full(m, -1, dtype=np.int8)
+    dist[0] = 0
+    mv = np.array(moves, dtype=np.int64)
+    frontier = np.array([0], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        level += 1
+        if level > 120:
+            raise AssertionError("search depth exceeded")
+        step = max(1, _BFS_CHUNK // mv.size)
+        parts = []
+        for i in range(0, frontier.size, step):
+            block = (frontier[i : i + step, None] + mv[None, :]) % m
+            parts.append(np.unique(block.ravel()))
+        nxt = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+        nxt = nxt[dist[nxt] < 0]
+        dist[nxt] = level
+        frontier = nxt
+    return dist
+
+
+N4_PAPER_SETS = [
+    odds_up_to(17, (15,)),
+    odds_up_to(19, (15,)),
+    odds_up_to(21, (15,)),
+    odds_up_to(23, (15,)),
+    odds_up_to(23, (13, 15)),
+    odds_up_to(25, (15,)),
+    odds_up_to(27, (15,)),
+    odds_up_to(29, (15, 23)),
+]
+N5_SETS = [odds_up_to(33, (31,)), odds_up_to(47, (29, 31)), odds_up_to(61, (31, 47))]
+
+
+def test_witness_matches_full_depth_search(monkeypatch):
+    cases = [(D, l) for D in N4_PAPER_SETS for l in range(1, 14)]
+    cases += [(D, l) for D in N5_SETS for l in range(1, 13)]
+    got = [min_weight_solution(D, l) for D, l in cases]
+    monkeypatch.setattr(np2.modsolve, "_bfs_distances", full_depth_bfs_distances)
+    want = [min_weight_solution(D, l) for D, l in cases]
+    assert got == want
+
+
+@pytest.mark.parametrize("D", [odds_up_to(17, (15,)), odds_up_to(61, (31, 47))])
+@pytest.mark.parametrize("l", [12, 13])
+def test_search_stops_at_the_closing_level(D, l):
+    # the search ends with level sigma - 1; a full-depth search goes deeper
+    m = (1 << l) - 1
+    moves = _moves(D, l)
+    dist = _bfs_distances(moves, m)
+    assert dist.max() == scalar_sigma(D, l) - 1
+    # on that last level only residues one move short of 0 are labelled
+    assert all((m - x) % m in moves for x in np.flatnonzero(dist == dist.max()))
 
 
 def test_sigma_length_cap():

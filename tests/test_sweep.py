@@ -7,12 +7,14 @@ import pytest
 
 from np2 import sweep
 from np2.sweep import (
+    VERDICT_FIELDS,
     SweepSpec,
+    VerdictRecord,
     evaluate_curve,
     frontier_summary,
     iter_curves,
     parse_coeffs,
-    record_from_json,
+    parse_frac,
     report_lines,
     run_sweep,
 )
@@ -91,6 +93,28 @@ def test_spec_validation():
         list(iter_curves(SweepSpec(1, 3, fixed=((4, 1),))))
 
 
+def test_exhaustive_cap_counts_the_leading_coefficient():
+    # q^g = 2^20 exactly, but the nonzero leading coefficient makes the
+    # family 3 * 4^10 curves; refused before any curve is built
+    with pytest.raises(ValueError, match="2\\^20"):
+        next(iter_curves(SweepSpec(2, 10)))
+    with pytest.raises(ValueError, match="2\\^20"):
+        next(iter_curves(SweepSpec(1, 21)))
+    # fixing one coefficient brings it back under the cap
+    assert SweepSpec(1, 21, fixed=((1, 0),)).validate() is None
+
+
+def test_exhaustive_cap_counts_only_free_coefficients():
+    # genus 22 over F_2 with all but four coefficients fixed: 16 curves
+    free = (3, 11, 29, 41)
+    fixed = tuple((e, 1 if e == 45 else 0) for e in range(1, 46, 2) if e not in free)
+    curves = list(iter_curves(SweepSpec(1, 22, fixed=fixed)))
+    assert len(curves) == 16
+    keys = dense_keys(curves, 22)
+    assert all(u < v for u, v in zip(keys, keys[1:]))
+    assert {e for f in curves for e, _ in f.coeffs} == set(free) | {45}
+
+
 def test_random_sweep_reproducible():
     spec = SweepSpec(1, 3, mode="random", seed=42, count=5)
     a, _ = run_sweep(spec)
@@ -118,6 +142,28 @@ def test_record_rerun_reproduces_verdicts():
         f = CurvePoly.make(rec.field_degree, dict(rec.coeffs))
         again = evaluate_curve(f, rec.predictors)
         assert replace(again, elapsed=None) == replace(rec, elapsed=None)
+
+
+def record_from_json(line: str) -> VerdictRecord:
+    """Inverse of record_row on a JSONL line."""
+    row = json.loads(line)
+    q = row["q"]
+    a = q.bit_length() - 1
+    assert 1 << a == q, f"q = {q} is not a power of two"
+    verdicts = {}
+    for name in VERDICT_FIELDS:
+        v = row[name]
+        if isinstance(v, list):
+            v = (v[0], parse_frac(v[1]) if isinstance(v[1], str) else v[1])
+        verdicts[name] = v
+    return VerdictRecord(
+        a,
+        row["g"],
+        tuple(sorted(parse_coeffs(row["coeffs"]).items(), reverse=True)),
+        tuple(row["predictors"].split(",")),
+        elapsed=row.get("elapsed"),
+        **verdicts,
+    )
 
 
 def test_jsonl_roundtrip():
