@@ -16,7 +16,6 @@ from .modsolve import (
     min_weight_solution,
     minimal_irreducible_solutions,
     odds_up_to,
-    sigma,
     support_sum_lower_bound,
 )
 from .vss import (
@@ -64,7 +63,6 @@ __all__ = [
     "odds_up_to",
     "point_count",
     "predict_first_vertex",
-    "sigma",
     "smallest_irreducible",
     "support_sum_lower_bound",
     "vss_dim",

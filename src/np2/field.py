@@ -117,11 +117,6 @@ class FieldCtx:
             e >>= 1
         return r
 
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self.pow_(x, self.q - 2)
-
     def trace(self, x: int) -> int:
         """Absolute trace down to F_2, returned as 0 or 1."""
         t = x

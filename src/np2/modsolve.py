@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import count
+from math import ceil
 
 import numpy as np
 
@@ -167,11 +168,6 @@ def _bfs_distances(moves: list[int], m: int) -> np.ndarray:
         dist[frontier] = level
 
 
-def sigma(D, l: int) -> int:
-    """Minimum weight of any solution of length l over D."""
-    return min_weight_solution(D, l).weight
-
-
 def min_weight_solution(D, l: int) -> ModSolution:
     """A minimum-weight solution of length l, found by breadth-first search."""
     D = _normalize_set(D)
@@ -241,23 +237,11 @@ def support_sum_lower_bound(s: int, l: int) -> int:
     return base + tail // 2
 
 
-def _min_feasible_weight(l: int, maxd: int):
-    for w in range(1, l):
-        if support_sum_lower_bound(w, l) <= w * maxd:
-            return w
-    return None
-
-
-def _max_feasible_length(w: int, maxd: int):
-    last = None
-    l = w + 1
-    while l < 10000:
-        if support_sum_lower_bound(w, l) <= w * maxd:
-            last = l
-        elif last is not None or l > 8 * (w + 1):
-            break
-        l += 1
-    return last
+def _feasible(w: int, l: int, maxd: int) -> bool:
+    """Whether an irreducible solution of weight w and length l can exist
+    over a set whose largest exponent is maxd: its support values sum to
+    sum_d d * weight(u_d) <= w * maxd."""
+    return support_sum_lower_bound(w, l) <= w * maxd
 
 
 @dataclass(frozen=True)
@@ -272,12 +256,16 @@ class DensityResult:
 
 
 def density(D, l_max: int | None = None) -> DensityResult:
-    """Minimum of sigma(D, l) / l over l = 1..l_max.
+    """Minimum of sigma(D, l) / l over all lengths l.
 
-    Lengths that provably cannot beat the running minimum are skipped
-    using the weight bound of support_sum_lower_bound.  The result is
-    certified when the bound also rules out every length beyond l_max,
-    so the value is the global minimum over all lengths.
+    Any solution splits into irreducible ones of no larger density, and
+    an irreducible solution's support values are distinct and positive,
+    so they sum to at least l(l+1)/2 and to at most w * max(D).  Once a
+    running minimum best is known, a length where no weight w < best * l
+    is _feasible cannot beat it, and no length with l + 1 >= 2 * best *
+    max(D) can.  The search skips the first kind and stops at the second.
+    The result is certified, a global minimum over all lengths, unless a
+    length it cannot skip lies past l_max or SIGMA_LENGTH_CAP.
     """
     D = _normalize_set(D)
     maxd = D[-1]
@@ -286,46 +274,26 @@ def density(D, l_max: int | None = None) -> DensityResult:
         l_max = 5 * n + 5
     elif l_max < 1:
         raise ValueError(f"l_max must be at least 1, not {l_max}")
-    best: tuple[Fraction, int] | None = None
+    horizon = min(l_max, SIGMA_LENGTH_CAP)
+    best: tuple[Fraction, int, ModSolution] | None = None
     sigmas = []
-    capped = []
-    for l in range(1, l_max + 1):
-        if l > 12:
-            wmin = _min_feasible_weight(l, maxd)
-            if wmin is None:
+    certified = True
+    for l in count(1):
+        if best is not None:
+            if l + 1 >= 2 * best[0] * maxd:
+                break
+            if not any(_feasible(w, l, maxd) for w in range(1, ceil(best[0] * l))):
                 continue
-            if best is not None and Fraction(wmin, l) >= best[0]:
-                continue
-        if l > SIGMA_LENGTH_CAP:
-            capped.append(l)
-            continue
+        if l > horizon:
+            certified = False
+            break
         sol = min_weight_solution(D, l)
         sigmas.append((l, sol.weight))
         val = Fraction(sol.weight, l)
         if best is None or val < best[0]:
             best = (val, l, sol)
-    if best is None:
-        raise AssertionError("unreachable: length 1 is always searched")
     value, at, witness = best
-    certified = _certified(value, maxd, l_max, capped)
     return DensityResult(value, at, witness, certified, tuple(sigmas))
-
-
-def _certified(value: Fraction, maxd: int, l_max: int, capped: list[int]) -> bool:
-    # Any solution dilutes to an irreducible one of no larger density,
-    # and an irreducible solution of weight w satisfies
-    # support_sum_lower_bound(w, l) <= w * maxd, which fails for all l
-    # once w >= 2 * maxd.  So it is enough to rule out, for each smaller
-    # w, every length this bound leaves open.
-    for w in range(1, 2 * maxd):
-        b = _max_feasible_length(w, maxd)
-        if b is None or Fraction(w, b) >= value:
-            continue
-        if b > l_max:
-            return False
-        if any(c <= b for c in capped):
-            return False
-    return True
 
 
 def _compositions(total: int, parts: int):
@@ -371,12 +339,14 @@ def minimal_irreducible_solutions(D, target: Fraction | None = None, max_weight:
         if not res.certified:
             raise ValueError("density minimum not certified; pass target explicitly")
         target = res.value
+    if target <= 0:
+        raise ValueError(f"target density {target} is not positive")
     w0, l0 = target.numerator, target.denominator
     found: dict[tuple, ModSolution] = {}
     k = 1
     while k * w0 <= max_weight:
         w, l = k * w0, k * l0
-        if _pair_feasible(w, l, maxd):
+        if _feasible(w, l, maxd):
             for sol in _enumerate_exact(D, w, l):
                 can = sol.canonical()
                 found.setdefault(can.digits, can)
@@ -385,7 +355,7 @@ def minimal_irreducible_solutions(D, target: Fraction | None = None, max_weight:
         w, l = k * w0, k * l0
         if l * (l + 1) // 2 > w * maxd:
             break
-        if _pair_feasible(w, l, maxd):
+        if _feasible(w, l, maxd):
             raise ValueError(
                 f"solutions of weight {w} cannot be ruled out; raise max_weight"
             )
@@ -395,10 +365,6 @@ def minimal_irreducible_solutions(D, target: Fraction | None = None, max_weight:
         if not (sol.density == target and sol.is_irreducible()):
             raise AssertionError("enumerated solution fails validation")
     return out
-
-
-def _pair_feasible(w: int, l: int, maxd: int) -> bool:
-    return l * (l + 1) // 2 <= w * maxd and support_sum_lower_bound(w, l) <= w * maxd
 
 
 def _enumerate_exact(D, w: int, l: int):

@@ -84,8 +84,10 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
+    num, den = (int(x) for x in s.split("/"))
+    if den == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(num, den)
 
 
 def coeffs_str(coeffs) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import FieldCtx, make_ctx
+from .field import make_ctx
 from .modsolve import (
     DensityResult,
     ModSolution,
@@ -82,62 +82,75 @@ def build_matrix(solutions, f: CurvePoly) -> MinimalSupportMatrix:
     )
 
 
-def _row_reduce(ctx: FieldCtx, rows) -> list[tuple[int, ...]]:
-    basis: list[tuple[int, list[int]]] = []
-    for row in rows:
-        r = list(row)
-        for pc, b in basis:
-            if r[pc]:
-                coef = r[pc]
-                r = [x ^ ctx.mul(coef, y) for x, y in zip(r, b)]
-        p = next((j for j, x in enumerate(r) if x), None)
-        if p is None:
-            continue
-        inv = ctx.inv(r[p])
-        basis.append((p, [ctx.mul(inv, x) for x in r]))
-    basis.sort()
-    return [tuple(r) for _, r in basis]
+def _images(M: MinimalSupportMatrix) -> list[int]:
+    """phi(t^k e_i) = t^(2k) row_i for every coordinate i and k < a.
+
+    phi(v) = sum_i v_i^2 row_i is F_2-linear on F_q^Sigma = F_2^(a n),
+    so these a n images determine it.  Vectors are packed into ints with
+    coordinate j in bits a j .. a j + a - 1; image a i + k belongs to
+    the basis vector with bit a i + k set.
+    """
+    a = M.field_degree
+    low = make_ctx(a).modulus ^ (1 << a)
+    tops = sum(1 << (a * j + a - 1) for j in range(len(M.sigma)))
+
+    def times_t(v):
+        # every coordinate times t: shift, then reduce the ones that overflow
+        top = v & tops
+        return (v ^ top) << 1 ^ (top >> (a - 1)) * low
+
+    out = []
+    for row in M.entries:
+        v = sum(x << (a * j) for j, x in enumerate(row))
+        for _ in range(a):
+            out.append(v)
+            v = times_t(times_t(v))
+    return out
 
 
-def _apply(ctx: FieldCtx, M: MinimalSupportMatrix, v):
-    """phi(v) = sum_i v_i^2 * row_i, the squaring-twisted map of M."""
-    n = len(M.sigma)
-    out = [0] * n
-    for i, a in enumerate(v):
-        a = ctx.mul(a, a)
-        if a == 0:
-            continue
-        row = M.entries[i]
-        if a == 1:
-            for j in range(n):
-                out[j] ^= row[j]
-        else:
-            for j in range(n):
-                if row[j]:
-                    out[j] ^= ctx.mul(a, row[j])
-    return tuple(out)
+def _span(vectors) -> list[int]:
+    """An F_2 basis of the span of packed vectors, by XOR elimination."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return list(basis.values())
 
 
 def vss_dim(M: MinimalSupportMatrix) -> int:
     """Dimension of the stable image of the twisted map.
 
-    Iterates W_{k+1} = phi(W_k) from the full space; the chain descends,
-    so the first repeat of the dimension is the stable value.
+    Iterates W_{k+1} = phi(W_k) from the full space over F_2; the chain
+    descends, so the first repeat of the dimension is the stable value.
+    Each W_k is an F_q-subspace, as phi(c v) = c^2 phi(v), so its F_2
+    dimension divided by a is the F_q dimension.
     """
-    ctx = make_ctx(M.field_degree)
-    n = len(M.sigma)
-    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    dim = n
-    for _ in range(n + 1):
-        basis = _row_reduce(ctx, [_apply(ctx, M, v) for v in basis])
+    a = M.field_degree
+    images = _images(M)
+    dim = len(images)
+    basis = [1 << b for b in range(dim)]
+    for _ in range(len(M.sigma) + 1):
+        nxt = []
+        for v in basis:
+            w = 0
+            while v:
+                low = v & -v
+                w ^= images[low.bit_length() - 1]
+                v ^= low
+            nxt.append(w)
+        basis = _span(nxt)
+        if len(basis) % a:
+            raise AssertionError("image is not an F_q-subspace")
         if len(basis) == dim:
-            return dim
+            return dim // a
         if len(basis) > dim:
             raise AssertionError("image chain grew")
         dim = len(basis)
-    if dim != 0:
-        raise AssertionError("image chain failed to stabilize")
-    return 0
+    raise AssertionError("image chain failed to stabilize")
 
 
 def effective_exponent_set(f: CurvePoly) -> tuple[int, ...]:

@@ -1,9 +1,31 @@
 """Brute-force reference implementations used only by the test suite."""
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
-from np2.modsolve import ModSolution
+from np2.modsolve import ModSolution, odds_up_to
+
+# the certified 2-densities of the punctured odd-exponent sets, keyed by
+# the window 2^n - 1 <= d <= 2^(n+1) - 3 for n = 4 and 5
+DENSITY_TABLE = (
+    (4, 17, (15,), Fraction(1, 3)),
+    (4, 19, (15,), Fraction(1, 3)),
+    (4, 21, (15,), Fraction(1, 3)),
+    (4, 23, (15,), Fraction(2, 7)),
+    (4, 23, (13, 15), Fraction(1, 3)),
+    (4, 25, (15,), Fraction(2, 7)),
+    (4, 27, (15,), Fraction(2, 7)),
+    (4, 29, (15, 23), Fraction(2, 7)),
+    *[(5, d, (31,), Fraction(1, 4)) for d in range(33, 46, 2)],
+    (5, 47, (31,), Fraction(2, 9)),
+    (5, 47, (29, 31), Fraction(1, 4)),
+    *[(5, d, (31,), Fraction(2, 9)) for d in range(49, 60, 2)],
+    *[(5, d, (29, 31), Fraction(1, 4)) for d in range(49, 56, 2)],
+    *[(5, d, (31, 47), Fraction(1, 4)) for d in range(49, 56, 2)],
+    (5, 61, (31, 47), Fraction(2, 9)),
+)
+PAPER_SETS = [odds_up_to(d, punctures) for _, d, punctures, _ in DENSITY_TABLE]
 
 
 def scalar_sigma(D, l):
@@ -45,3 +67,60 @@ def exhaustive_irreducible_classes(D, l, w):
             can = sol.canonical()
             out[can.digits] = can
     return sorted(out.values(), key=lambda s: s.digits)
+
+
+def field_inv(ctx, x):
+    """Inverse in F_q as x^(q - 2)."""
+    if x == 0:
+        raise ZeroDivisionError("inverse of 0")
+    return ctx.pow_(x, ctx.q - 2)
+
+
+def row_reduce(ctx, rows):
+    """A basis of the F_q row space, 1 at each pivot, one field entry at a time."""
+    basis = []
+    for row in rows:
+        r = list(row)
+        for pc, b in basis:
+            if r[pc]:
+                coef = r[pc]
+                r = [x ^ ctx.mul(coef, y) for x, y in zip(r, b)]
+        p = next((j for j, x in enumerate(r) if x), None)
+        if p is None:
+            continue
+        inv = field_inv(ctx, r[p])
+        basis.append((p, [ctx.mul(inv, x) for x in r]))
+    basis.sort()
+    return [tuple(r) for _, r in basis]
+
+
+def apply_phi(ctx, M, v):
+    """phi(v) = sum_i v_i^2 * row_i, the squaring-twisted map of M."""
+    n = len(M.sigma)
+    out = [0] * n
+    for i, a in enumerate(v):
+        a = ctx.mul(a, a)
+        if a == 0:
+            continue
+        row = M.entries[i]
+        if a == 1:
+            for j in range(n):
+                out[j] ^= row[j]
+        else:
+            for j in range(n):
+                if row[j]:
+                    out[j] ^= ctx.mul(a, row[j])
+    return tuple(out)
+
+
+def chain_dim(ctx, M):
+    """Stable dimension of W_{k+1} = phi(W_k) over F_q, from the full space."""
+    n = len(M.sigma)
+    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    dim = n
+    for _ in range(n + 1):
+        basis = row_reduce(ctx, [apply_phi(ctx, M, v) for v in basis])
+        if len(basis) == dim:
+            return dim
+        dim = len(basis)
+    raise AssertionError("image chain failed to stabilize")

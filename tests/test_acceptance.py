@@ -15,12 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import exhaustive_irreducible_classes
+from helpers import DENSITY_TABLE, apply_phi, exhaustive_irreducible_classes, row_reduce
 from np2.field import make_ctx
 from np2.hasse import classify
 from np2.modsolve import density, minimal_irreducible_solutions, odds_up_to
 from np2.sweep import SweepSpec, frontier_summary, run_sweep
-from np2.vss import _apply, _row_reduce, predict_first_vertex, vss_report
+from np2.vss import predict_first_vertex, vss_report
 from np2.zeta import CurvePoly, first_vertex, l_polynomial, newton_polygon_of_curve
 
 
@@ -118,27 +118,6 @@ def test_genus14_vertex_characterization(check):
         if not bad
         else f"mismatches: {bad[:3]}",
     )
-
-
-# the certified 2-densities of the punctured odd-exponent sets, keyed by
-# the window 2^n - 1 <= d <= 2^(n+1) - 3 for n = 4 and 5
-DENSITY_TABLE = (
-    (4, 17, (15,), Fraction(1, 3)),
-    (4, 19, (15,), Fraction(1, 3)),
-    (4, 21, (15,), Fraction(1, 3)),
-    (4, 23, (15,), Fraction(2, 7)),
-    (4, 23, (13, 15), Fraction(1, 3)),
-    (4, 25, (15,), Fraction(2, 7)),
-    (4, 27, (15,), Fraction(2, 7)),
-    (4, 29, (15, 23), Fraction(2, 7)),
-    *[(5, d, (31,), Fraction(1, 4)) for d in range(33, 46, 2)],
-    (5, 47, (31,), Fraction(2, 9)),
-    (5, 47, (29, 31), Fraction(1, 4)),
-    *[(5, d, (31,), Fraction(2, 9)) for d in range(49, 60, 2)],
-    *[(5, d, (29, 31), Fraction(1, 4)) for d in range(49, 56, 2)],
-    *[(5, d, (31, 47), Fraction(1, 4)) for d in range(49, 56, 2)],
-    (5, 61, (31, 47), Fraction(2, 9)),
-)
 
 
 def test_density_table(check):
@@ -330,7 +309,7 @@ def test_invariant_battery(check):
             basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
             dims = [n]
             for _ in range(n + 1):
-                basis = _row_reduce(ctx, [_apply(ctx, M, v) for v in basis])
+                basis = row_reduce(ctx, [apply_phi(ctx, M, v) for v in basis])
                 dims.append(len(basis))
                 if dims[-1] == dims[-2]:
                     break
@@ -351,16 +330,16 @@ def test_invariant_battery(check):
         for _ in range(10):
             v = tuple(rng.randrange(q) for _ in range(n))
             w = tuple(rng.randrange(q) for _ in range(n))
-            fv = _apply(ctx, M, v)
-            fw = _apply(ctx, M, w)
-            if _apply(ctx, M, tuple(x ^ y for x, y in zip(v, w))) != tuple(
+            fv = apply_phi(ctx, M, v)
+            fw = apply_phi(ctx, M, w)
+            if apply_phi(ctx, M, tuple(x ^ y for x, y in zip(v, w))) != tuple(
                 x ^ y for x, y in zip(fv, fw)
             ):
                 problems.append("additivity")
             for lam in range(q):
                 lv = tuple(ctx.mul(lam, x) for x in v)
                 lam2 = ctx.mul(lam, lam)
-                if _apply(ctx, M, lv) != tuple(ctx.mul(lam2, x) for x in fv):
+                if apply_phi(ctx, M, lv) != tuple(ctx.mul(lam2, x) for x in fv):
                     problems.append("semilinearity")
 
     check(

@@ -80,6 +80,10 @@ def test_spec_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["vss", "--q", "2^1", "--coeffs", "7:1,7:1"])
     assert exc.value.code == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["minimal", "--set", "1,3", "--target", "1/0"])
+    assert exc.value.code == 3
+    assert "is not num/den" in capsys.readouterr().err
     # library-level errors return 3 without raising
     assert main(["classify", "--q", "2^1", "--coeffs", "5:1"]) == 3
     assert main(["minimal", "--set", "2,4"]) == 3
@@ -95,6 +99,9 @@ def test_spec_error_exit_codes(capsys):
         ["np", "--q", "2", "--coeffs", "47:1"],
         ["zeta", "--q", "2", "--coeffs", "25:1", "--full"],
         ["sweep", "--q", "4", "--g", "12", "--random", "--count", "1"],
+        # a target that is not positive would never reach max_weight
+        ["minimal", "--set", "1,3", "--target", "0/1"],
+        ["minimal", "--set", "1,3", "--target=-1/2"],
     ],
 )
 def test_unsatisfiable_request_exits_3(capsys, monkeypatch, argv):

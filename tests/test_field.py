@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import np2.field
+from helpers import field_inv
 from np2.field import (
     FieldCtx,
     FieldTable,
@@ -70,7 +71,7 @@ def test_f4_arithmetic():
     t = 0b10
     assert c.mul(t, t) == 0b11  # t^2 = t + 1
     assert c.mul(t, 0b11) == 1  # t * t^2 = t^3 = 1
-    assert c.inv(t) == 0b11
+    assert field_inv(c, t) == 0b11
 
 
 def test_field_axioms_small():
@@ -80,7 +81,7 @@ def test_field_axioms_small():
         for x in els:
             assert c.mul(x, 1) == x
             if x:
-                assert c.mul(x, c.inv(x)) == 1
+                assert c.mul(x, field_inv(c, x)) == 1
         # commutativity and distributivity on a sample
         for x in els[: min(8, len(els))]:
             for y in els[: min(8, len(els))]:

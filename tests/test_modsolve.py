@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import np2.modsolve
-from helpers import exhaustive_irreducible_classes, scalar_sigma
+from helpers import PAPER_SETS, exhaustive_irreducible_classes, scalar_sigma
 from np2.modsolve import (
     _BFS_CHUNK,
+    SIGMA_LENGTH_CAP,
     DensityResult,
     ModSolution,
     _bfs_distances,
@@ -16,7 +18,6 @@ from np2.modsolve import (
     min_weight_solution,
     minimal_irreducible_solutions,
     odds_up_to,
-    sigma,
     support_sum_lower_bound,
 )
 
@@ -130,10 +131,9 @@ def test_shift_equivariance():
 
 def test_sigma_frozen_n3():
     D = odds_up_to(13)
-    assert sigma(D, 3) == 1
     w = min_weight_solution(D, 3)
+    assert w.weight == 1
     assert w.digits == ((7, 1),)
-    assert sigma(D, 6) == 2
     assert min_weight_solution(D, 6).weight == 2
 
 
@@ -146,7 +146,7 @@ def test_sigma_witness_is_minimal():
         w = min_weight_solution(D, l)
         assert w.length == l
         assert set(d for d, _ in w.digits) <= set(D)
-        assert w.weight == sigma(D, l) == scalar_sigma(D, l)
+        assert w.weight == scalar_sigma(D, l)
 
 
 def test_sigma_matches_scalar_bfs_paper_sets():
@@ -159,7 +159,7 @@ def test_sigma_matches_scalar_bfs_paper_sets():
     ]
     for D in sets:
         for l in range(1, 13):
-            assert sigma(D, l) == scalar_sigma(D, l), (D, l)
+            assert min_weight_solution(D, l).weight == scalar_sigma(D, l), (D, l)
 
 
 def full_depth_bfs_distances(moves, m):
@@ -221,9 +221,9 @@ def test_search_stops_at_the_closing_level(D, l):
 
 def test_sigma_length_cap():
     with pytest.raises(ValueError):
-        sigma((7,), 27)
+        min_weight_solution((7,), 27)
     with pytest.raises(ValueError):
-        sigma((7,), 0)
+        min_weight_solution((7,), 0)
 
 
 def test_lower_bound_frozen_values():
@@ -245,6 +245,18 @@ def test_lower_bound_boundary_and_monotone():
             prev = v
     with pytest.raises(ValueError):
         support_sum_lower_bound(0, 3)
+
+
+def test_lower_bound_dominates_distinct_supports():
+    # density() stops and skips lengths on both facts: the bound is at
+    # least 1 + 2 + ... + l, the least sum of l distinct positive values,
+    # and it never falls as l grows
+    for w in range(1, 200):
+        prev = 0
+        for l in range(1, 400):
+            v = support_sum_lower_bound(w, l)
+            assert v >= l * (l + 1) // 2 and v >= prev, (w, l)
+            prev = v
 
 
 def test_lower_bound_vs_all_irreducibles():
@@ -287,6 +299,74 @@ def test_density_searches_each_length_once(monkeypatch, top, value):
     assert len(searched) == len(set(searched))
     assert (r.value, r.certified) == (value, True)
     assert r.witness == min_weight_solution(odds_up_to(top, exclude=(15,)), r.length)
+
+
+def reference_density(D, l_max=None):
+    """density() with the certificate as a separate pass over every weight
+    below 2 max(D), as it was before the certificate joined the search."""
+    maxd = max(D)
+    if l_max is None:
+        n = (maxd + 2).bit_length() - 1
+        l_max = 5 * n + 5
+    best = None
+    capped = []
+    for l in range(1, l_max + 1):
+        if l > 12:
+            wmin = next(
+                (w for w in range(1, l) if support_sum_lower_bound(w, l) <= w * maxd), None
+            )
+            if wmin is None:
+                continue
+            if best is not None and Fraction(wmin, l) >= best[0]:
+                continue
+        if l > np2.modsolve.SIGMA_LENGTH_CAP:
+            capped.append(l)
+            continue
+        sol = np2.modsolve.min_weight_solution(D, l)
+        val = Fraction(sol.weight, l)
+        if best is None or val < best[0]:
+            best = (val, l, sol)
+    value, at, witness = best
+    return value, at, witness, reference_certified(value, maxd, l_max, capped)
+
+
+def reference_certified(value, maxd, l_max, capped):
+    for w in range(1, 2 * maxd):
+        b = reference_max_feasible_length(w, maxd)
+        if b is None or Fraction(w, b) >= value:
+            continue
+        if b > l_max or any(c <= b for c in capped):
+            return False
+    return True
+
+
+def reference_max_feasible_length(w, maxd):
+    last = None
+    l = w + 1
+    while l < 10000:
+        if support_sum_lower_bound(w, l) <= w * maxd:
+            last = l
+        elif last is not None or l > 8 * (w + 1):
+            break
+        l += 1
+    return last
+
+
+@pytest.mark.parametrize("cap", [SIGMA_LENGTH_CAP, 8])
+def test_density_matches_separate_certificate(monkeypatch, cap):
+    # a cap of 8 leaves lengths that cannot be skipped past it; both sides
+    # share one memo of the per-length search, which is not compared here
+    monkeypatch.setattr(np2.modsolve, "SIGMA_LENGTH_CAP", cap)
+    monkeypatch.setattr(
+        np2.modsolve, "min_weight_solution", lru_cache(None)(min_weight_solution)
+    )
+    sets = PAPER_SETS + [odds_up_to(d) for d in range(1, 64, 2)]
+    for l_max in (None, 1, 2, 3, 5, 8, 13, 20):
+        for D in sets:
+            r = density(D, l_max)
+            assert (r.value, r.length, r.witness, r.certified) == reference_density(
+                D, l_max
+            ), (D, l_max)
 
 
 def test_density_spot_values():
@@ -417,3 +497,10 @@ def test_minimal_solutions_all_validate():
             assert s.is_irreducible()
             assert s == s.canonical()
             assert set(d for d, _ in s.digits) <= set(D)
+
+
+@pytest.mark.parametrize("target", [Fraction(0), Fraction(-1, 2)])
+def test_nonpositive_target_rejected(target):
+    # the weight loop k * w0 <= max_weight would never end
+    with pytest.raises(ValueError, match="not positive"):
+        minimal_irreducible_solutions((1, 3), target=target)

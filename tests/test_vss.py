@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 import np2.vss
+from helpers import apply_phi, chain_dim, row_reduce
 from np2.field import make_ctx
 from np2.modsolve import DensityResult, ModSolution, minimal_irreducible_solutions, odds_up_to
 from np2.vss import (
     MinimalSupportMatrix,
-    _apply,
-    _row_reduce,
+    _images,
     build_matrix,
     effective_exponent_set,
     predict_first_vertex,
@@ -231,7 +231,7 @@ def test_image_chain_descends_and_stabilizes():
         basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         dims = [n]
         for _ in range(n + 1):
-            basis = _row_reduce(ctx, [_apply(ctx, M, v) for v in basis])
+            basis = row_reduce(ctx, [apply_phi(ctx, M, v) for v in basis])
             dims.append(len(basis))
             if dims[-1] == dims[-2]:
                 break
@@ -251,14 +251,14 @@ def test_semilinearity_and_additivity():
         for _ in range(20):
             v = tuple(rng.randrange(q) for _ in range(n))
             w = tuple(rng.randrange(q) for _ in range(n))
-            fv = _apply(ctx, M, v)
-            fw = _apply(ctx, M, w)
+            fv = apply_phi(ctx, M, v)
+            fw = apply_phi(ctx, M, w)
             vw = tuple(x ^ y for x, y in zip(v, w))
-            assert _apply(ctx, M, vw) == tuple(x ^ y for x, y in zip(fv, fw))
+            assert apply_phi(ctx, M, vw) == tuple(x ^ y for x, y in zip(fv, fw))
             for lam in range(q):
                 lv = tuple(ctx.mul(lam, x) for x in v)
                 lam2 = ctx.mul(lam, lam)
-                assert _apply(ctx, M, lv) == tuple(ctx.mul(lam2, x) for x in fv)
+                assert apply_phi(ctx, M, lv) == tuple(ctx.mul(lam2, x) for x in fv)
 
 
 def test_rank_invariant_under_sigma_permutation():
@@ -288,7 +288,7 @@ def test_twist_power_gives_equal_dimension_over_f4():
     for _ in range(30):
         f = random_curve(rng, 2, rng.randrange(1, 7))
         M = vss_report(f).matrix
-        assert vss_dim(M) == len(_row_reduce(ctx, mat_pow(ctx, M.entries, len(M.sigma))))
+        assert vss_dim(M) == len(row_reduce(ctx, mat_pow(ctx, M.entries, len(M.sigma))))
 
 
 def test_f2_dimension_equals_matrix_power_rank():
@@ -298,6 +298,37 @@ def test_f2_dimension_equals_matrix_power_rank():
         for f in all_curves_f2(g):
             M = vss_report(f).matrix
             assert vss_dim(M) == mat_pow_rank_f2(M.entries, len(M.sigma))
+
+
+def chain_samples():
+    rng = random.Random(29)
+    yield from (f for g in range(1, 6) for f in all_curves_f2(g))
+    for a in (2, 3, 5):
+        for g in range(1, 7):
+            for _ in range(3):
+                yield random_curve(rng, a, g)
+
+
+def test_dimension_matches_field_chain():
+    # the packed F_2 chain against the same chain run entry by entry over F_q
+    for f in chain_samples():
+        M = vss_report(f).matrix
+        assert vss_dim(M) == chain_dim(make_ctx(M.field_degree), M), f.coeffs
+
+
+def test_packed_images_match_field_map():
+    for f in chain_samples():
+        M = vss_report(f).matrix
+        a = M.field_degree
+        ctx = make_ctx(a)
+        n = len(M.sigma)
+        images = _images(M)
+        assert len(images) == a * n
+        for i in range(n):
+            for k in range(a):
+                v = tuple(1 << k if j == i else 0 for j in range(n))
+                want = sum(x << (a * j) for j, x in enumerate(apply_phi(ctx, M, v)))
+                assert images[a * i + k] == want, (f.coeffs, i, k)
 
 
 def test_oracle_agreement_exhaustive_f2():
