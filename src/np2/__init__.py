@@ -16,7 +16,6 @@ from .modsolve import (
     min_weight_solution,
     minimal_irreducible_solutions,
     odds_up_to,
-    support_sum_lower_bound,
 )
 from .vss import (
     MinimalSupportMatrix,
@@ -64,7 +63,6 @@ __all__ = [
     "point_count",
     "predict_first_vertex",
     "smallest_irreducible",
-    "support_sum_lower_bound",
     "vss_dim",
     "vss_report",
 ]

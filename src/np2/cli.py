@@ -1,7 +1,7 @@
 """Command line front end for the predictor routes and the sweep harness.
 
 Exit codes: 0 clean, 2 oracle-vs-predictor disagreement (or selftest
-failure), 3 bad arguments or unsatisfiable request.
+failure), 3 bad arguments, unsatisfiable request or unwritable report.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -122,13 +123,13 @@ def cmd_np(args) -> int:
 
 def cmd_density(args) -> int:
     D = _exponent_set(args)
-    res = density(D, l_max=args.l_max)
+    res = density(D)
     _emit(
         {
             "set": ",".join(str(e) for e in D),
             "value": frac_str(res.value),
             "length": res.length,
-            "certified": res.certified,
+            "certified": True,  # density raises unless its value is proven minimal
             "witness": {
                 "length": res.witness.length,
                 "digits": coeffs_str(res.witness.digits),
@@ -198,19 +199,17 @@ def cmd_sweep(args) -> int:
         fixed,
         tuple(args.predictors.split(",")),
     )
-    records, summary = run_sweep(spec)
-    lines = report_lines(records, args.format, args.timing)
-    if args.out:
-        with open(args.out, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    else:
-        for line in lines:
-            print(line)
-    if args.frontier:
-        with open(args.frontier, "w") as fh:
-            json.dump(frontier_summary(records), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    spec.validate()
+    # open the reports first: an unwritable path fails before any curve is evaluated
+    with ExitStack() as files:
+        out = files.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        frontier = files.enter_context(open(args.frontier, "w")) if args.frontier else None
+        records, summary = run_sweep(spec)
+        for line in report_lines(records, args.format, args.timing):
+            print(line, file=out)
+        if frontier:
+            json.dump(frontier_summary(records), frontier, indent=2, sort_keys=True)
+            frontier.write("\n")
     print(json.dumps(asdict(summary), sort_keys=True), file=sys.stderr)
     if summary.oracle_disagreements and not args.expect_frontier:
         return 2
@@ -230,8 +229,7 @@ def _selftest_checks():
         l_polynomial(CurvePoly.make(1, {7: 1, 1: 1}), full=True)
 
     def check_modsolve():
-        res = density(odds_up_to(13))
-        assert (res.value, res.certified) == (F(1, 3), True)
+        assert density(odds_up_to(13)).value == F(1, 3)
         sols = minimal_irreducible_solutions(odds_up_to(29, exclude=(15,)), target=F(2, 7))
         assert len(sols) == 4
 
@@ -321,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="2-density of an exponent set")
     _add_set_args(p)
-    p.add_argument("--l-max", type=int, default=None, help="largest length to search")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("minimal", help="minimal irreducible solutions")
@@ -365,7 +362,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -12,7 +12,7 @@ takes positive integer values with phi(k+1) <= 2 phi(k) cyclically, and
 a solution is irreducible exactly when phi is injective.  The minimum
 density over all lengths governs the first slope of the Newton polygons
 computed elsewhere in this package; this module finds that minimum with
-a proof of global minimality when one exists, and enumerates all
+a proof of global minimality, or refuses, and enumerates all
 irreducible solutions attaining it.
 """
 
@@ -251,12 +251,11 @@ class DensityResult:
     value: Fraction
     length: int
     witness: ModSolution
-    certified: bool
     sigmas: tuple[tuple[int, int], ...]
 
 
-def density(D, l_max: int | None = None) -> DensityResult:
-    """Minimum of sigma(D, l) / l over all lengths l.
+def density(D) -> DensityResult:
+    """Minimum of sigma(D, l) / l over all lengths l, proven global.
 
     Any solution splits into irreducible ones of no larger density, and
     an irreducible solution's support values are distinct and positive,
@@ -264,20 +263,15 @@ def density(D, l_max: int | None = None) -> DensityResult:
     running minimum best is known, a length where no weight w < best * l
     is _feasible cannot beat it, and no length with l + 1 >= 2 * best *
     max(D) can.  The search skips the first kind and stops at the second.
-    The result is certified, a global minimum over all lengths, unless a
-    length it cannot skip lies past l_max or SIGMA_LENGTH_CAP.
+    Raises ValueError when a length it cannot skip lies past the horizon
+    min(5n + 5, SIGMA_LENGTH_CAP), n = floor(log2(max(D) + 2)).
     """
     D = _normalize_set(D)
     maxd = D[-1]
-    if l_max is None:
-        n = (maxd + 2).bit_length() - 1
-        l_max = 5 * n + 5
-    elif l_max < 1:
-        raise ValueError(f"l_max must be at least 1, not {l_max}")
-    horizon = min(l_max, SIGMA_LENGTH_CAP)
+    n = (maxd + 2).bit_length() - 1
+    horizon = min(5 * n + 5, SIGMA_LENGTH_CAP)
     best: tuple[Fraction, int, ModSolution] | None = None
     sigmas = []
-    certified = True
     for l in count(1):
         if best is not None:
             if l + 1 >= 2 * best[0] * maxd:
@@ -285,15 +279,17 @@ def density(D, l_max: int | None = None) -> DensityResult:
             if not any(_feasible(w, l, maxd) for w in range(1, ceil(best[0] * l))):
                 continue
         if l > horizon:
-            certified = False
-            break
+            raise ValueError(
+                f"density of {D} not proven minimal: length {l} lies past the horizon "
+                f"{horizon}; {best[0]} is only an upper bound"
+            )
         sol = min_weight_solution(D, l)
         sigmas.append((l, sol.weight))
         val = Fraction(sol.weight, l)
         if best is None or val < best[0]:
             best = (val, l, sol)
     value, at, witness = best
-    return DensityResult(value, at, witness, certified, tuple(sigmas))
+    return DensityResult(value, at, witness, tuple(sigmas))
 
 
 def _compositions(total: int, parts: int):
@@ -335,10 +331,7 @@ def minimal_irreducible_solutions(D, target: Fraction | None = None, max_weight:
     D = _normalize_set(D)
     maxd = D[-1]
     if target is None:
-        res = density(D)
-        if not res.certified:
-            raise ValueError("density minimum not certified; pass target explicitly")
-        target = res.value
+        target = density(D).value
     if target <= 0:
         raise ValueError(f"target density {target} is not positive")
     w0, l0 = target.numerator, target.denominator

@@ -127,6 +127,8 @@ class SweepSpec:
         for p in self.predictors:
             if p not in ROUTES:
                 raise ValueError(f"unknown predictor {p!r}")
+        if len(set(self.predictors)) < len(self.predictors):
+            raise ValueError(f"repeated predictor in {','.join(self.predictors)!r}")
         q = 1 << self.field_degree
         deg = 2 * self.genus + 1
         for e, c in self.fixed:

@@ -15,13 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import make_ctx
-from .modsolve import (
-    DensityResult,
-    ModSolution,
-    density,
-    minimal_irreducible_solutions,
-    odds_up_to,
-)
+from .modsolve import ModSolution, minimal_irreducible_solutions, odds_up_to
 from .zeta import CurvePoly
 
 
@@ -32,7 +26,6 @@ class MinimalSupportMatrix:
     sigma: tuple[int, ...]
     entries: tuple[tuple[int, ...], ...]
     density: Fraction
-    jump_digits: frozenset
     field_degree: int
 
 
@@ -49,7 +42,6 @@ def build_matrix(solutions, f: CurvePoly) -> MinimalSupportMatrix:
         raise ValueError("no solutions to build from")
     dens = solutions[0].density
     sigma = set()
-    jump_digits = set()
     jump_edges = {}
     for sol in solutions:
         if sol.density != dens:
@@ -61,7 +53,6 @@ def build_matrix(solutions, f: CurvePoly) -> MinimalSupportMatrix:
             for r in range(l):
                 if not (u >> r) & 1:
                     continue
-                jump_digits.add((d, r))
                 k = l - 1 - r
                 si, sj = phi[k], phi[(k + 1) % l]
                 assert 2 * si - sj == d
@@ -77,9 +68,7 @@ def build_matrix(solutions, f: CurvePoly) -> MinimalSupportMatrix:
             rows[index[s]][index[2 * s]] = 1
     for (si, sj), d in jump_edges.items():
         rows[index[si]][index[sj]] = f.coeff(d)
-    return MinimalSupportMatrix(
-        sigma, tuple(tuple(r) for r in rows), dens, frozenset(jump_digits), f.field_degree
-    )
+    return MinimalSupportMatrix(sigma, tuple(tuple(r) for r in rows), dens, f.field_degree)
 
 
 def _images(M: MinimalSupportMatrix) -> list[int]:
@@ -169,13 +158,8 @@ def effective_exponent_set(f: CurvePoly) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _density_cached(D) -> DensityResult:
-    return density(D)
-
-
-@lru_cache(maxsize=None)
-def _solutions_cached(D, target) -> tuple[ModSolution, ...]:
-    return tuple(minimal_irreducible_solutions(D, target=target))
+def _solutions_cached(D) -> tuple[ModSolution, ...]:
+    return tuple(minimal_irreducible_solutions(D))
 
 
 @dataclass(frozen=True)
@@ -189,16 +173,11 @@ class VssReport:
 
 
 def vss_report(f: CurvePoly) -> VssReport:
-    D = effective_exponent_set(f)
-    res = _density_cached(D)
-    if not res.certified:
-        raise ValueError(f"density of {D} not certified; cannot predict")
-    sols = _solutions_cached(D, res.value)
-    M = build_matrix(sols, f)
+    M = build_matrix(_solutions_cached(effective_exponent_set(f)), f)
     d = vss_dim(M)
     if d > 0:
-        return VssReport(M, d, (d, res.value * d), None)
-    return VssReport(M, 0, None, res.value)
+        return VssReport(M, d, (d, M.density * d), None)
+    return VssReport(M, 0, None, M.density)
 
 
 def predict_first_vertex(f: CurvePoly) -> tuple[int, Fraction] | None:

@@ -200,21 +200,14 @@ def newton_polygon(lcoeffs, q: int) -> list[tuple[int, Fraction]]:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
-    verts = [(k, Fraction(v, a)) for k, v in hull]
-    for i in range(2, len(verts)):
-        s_prev = _slope(verts[i - 2], verts[i - 1])
-        s_next = _slope(verts[i - 1], verts[i])
-        if not s_prev < s_next:
+    for i in range(2, len(hull)):
+        if _cross(hull[i - 2], hull[i - 1], hull[i]) <= 0:
             raise AssertionError("hull slopes not strictly increasing")
-    return verts
+    return [(k, Fraction(v, a)) for k, v in hull]
 
 
 def _cross(o, a, b) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _slope(p, r) -> Fraction:
-    return Fraction(r[1] - p[1], r[0] - p[0])
 
 
 def first_vertex(vertices) -> tuple[int, Fraction]:

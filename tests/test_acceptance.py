@@ -125,11 +125,12 @@ def test_density_table(check):
     worst = 0.0
     for n, d, punctures, want in DENSITY_TABLE:
         t0 = time.perf_counter()
+        # density raises when it cannot certify its value
         r = density(odds_up_to(d, punctures))
         dt = time.perf_counter() - t0
         worst = max(worst, dt)
-        if r.value != want or not r.certified or dt >= 60.0:
-            bad.append((n, d, punctures, str(r.value), r.certified, round(dt, 1)))
+        if r.value != want or dt >= 60.0:
+            bad.append((n, d, punctures, str(r.value), round(dt, 1)))
     check(
         "density table",
         not bad,

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import np2.modsolve
+import np2.sweep
 import np2.zeta
 from np2.cli import main
 from np2.field import TABLE_DEGREE_CAP
@@ -84,6 +86,9 @@ def test_spec_error_exit_codes(capsys):
         main(["minimal", "--set", "1,3", "--target", "1/0"])
     assert exc.value.code == 3
     assert "is not num/den" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--set", "3,5", "--l-max", "0"])
+    assert exc.value.code == 3
     # library-level errors return 3 without raising
     assert main(["classify", "--q", "2^1", "--coeffs", "5:1"]) == 3
     assert main(["minimal", "--set", "2,4"]) == 3
@@ -94,7 +99,8 @@ def test_spec_error_exit_codes(capsys):
     "argv",
     [
         ["minimal", "--max", "29", "--exclude", "15", "--target", "2/7", "--max-weight", "1"],
-        ["density", "--set", "3,5", "--l-max", "0"],
+        # refused with the length cap lowered to 2: 1/3 sits at length 3
+        ["density", "--max", "13"],
         # past the field table cap: extension degrees 23, 24 and 24
         ["np", "--q", "2", "--coeffs", "47:1"],
         ["zeta", "--q", "2", "--coeffs", "25:1", "--full"],
@@ -109,12 +115,31 @@ def test_unsatisfiable_request_exits_3(capsys, monkeypatch, argv):
         raise AssertionError("an exponential sum was computed before refusing")
 
     monkeypatch.setattr(np2.zeta, "exponential_sum", no_sums)
+    monkeypatch.setattr(np2.modsolve, "SIGMA_LENGTH_CAP", 2)
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     if argv[0] in ("np", "zeta", "sweep"):
         assert "extension degree 2" in err and f"outside 1..{TABLE_DEGREE_CAP}" in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--frontier"])
+def test_unwritable_report_exits_3_before_any_curve(tmp_path, capsys, monkeypatch, flag):
+    def no_curves(*args):
+        raise AssertionError("a curve was evaluated before the reports were opened")
+
+    monkeypatch.setattr(np2.sweep, "evaluate_curve", no_curves)
+    paths = {"--out": tmp_path / "g3.jsonl", "--frontier": tmp_path / "frontier.json"}
+    paths[flag] = tmp_path / "missing" / "report"
+    argv = ["sweep", "--q", "2", "--g", "3", "--exhaustive"]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "No such file or directory" in captured.err and captured.out == ""
+    assert not any(p.exists() and p.read_text() for p in paths.values())
 
 
 def test_sweep_writes_report(tmp_path, capsys):

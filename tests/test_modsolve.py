@@ -10,7 +10,6 @@ from helpers import PAPER_SETS, exhaustive_irreducible_classes, scalar_sigma
 from np2.modsolve import (
     _BFS_CHUNK,
     SIGMA_LENGTH_CAP,
-    DensityResult,
     ModSolution,
     _bfs_distances,
     _moves,
@@ -271,19 +270,22 @@ def test_density_frozen_n3():
     r = density(odds_up_to(13))
     assert r.value == Fraction(1, 3)
     assert r.length == 3
-    assert r.certified
     assert r.witness.digits == ((7, 1),)
     assert dict(r.sigmas)[3] == 1
 
 
 def test_density_single_exponent():
     r = density((1,))
-    assert r.value == 1 and r.length == 1 and r.certified
+    assert r.value == 1 and r.length == 1
 
 
-def test_density_uncertified_when_horizon_too_short():
-    r = density(odds_up_to(13), l_max=2)
-    assert not r.certified
+def test_density_uncertified_when_horizon_too_short(monkeypatch):
+    # 1/3 at length 3 cannot be ruled out with lengths 1 and 2 alone
+    monkeypatch.setattr(np2.modsolve, "SIGMA_LENGTH_CAP", 2)
+    with pytest.raises(
+        ValueError, match="length 3 lies past the horizon 2; 1/2 is only an upper bound"
+    ):
+        density(odds_up_to(13))
 
 
 @pytest.mark.parametrize("top, value", [(23, Fraction(2, 7)), (29, Fraction(1, 4))])
@@ -297,17 +299,17 @@ def test_density_searches_each_length_once(monkeypatch, top, value):
     monkeypatch.setattr(np2.modsolve, "min_weight_solution", counted)
     r = density(odds_up_to(top, exclude=(15,)))
     assert len(searched) == len(set(searched))
-    assert (r.value, r.certified) == (value, True)
+    assert r.value == value
     assert r.witness == min_weight_solution(odds_up_to(top, exclude=(15,)), r.length)
 
 
-def reference_density(D, l_max=None):
+def reference_density(D):
     """density() with the certificate as a separate pass over every weight
-    below 2 max(D), as it was before the certificate joined the search."""
+    below 2 max(D), as it was before the certificate joined the search;
+    the last field says whether the value is certified."""
     maxd = max(D)
-    if l_max is None:
-        n = (maxd + 2).bit_length() - 1
-        l_max = 5 * n + 5
+    n = (maxd + 2).bit_length() - 1
+    l_max = 5 * n + 5
     best = None
     capped = []
     for l in range(1, l_max + 1):
@@ -352,21 +354,23 @@ def reference_max_feasible_length(w, maxd):
     return last
 
 
-@pytest.mark.parametrize("cap", [SIGMA_LENGTH_CAP, 8])
+@pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 13, 20, SIGMA_LENGTH_CAP])
 def test_density_matches_separate_certificate(monkeypatch, cap):
-    # a cap of 8 leaves lengths that cannot be skipped past it; both sides
-    # share one memo of the per-length search, which is not compared here
+    # a low cap leaves lengths that cannot be skipped past it, and there
+    # density must refuse; both sides share one memo of the per-length
+    # search, which is not compared here
     monkeypatch.setattr(np2.modsolve, "SIGMA_LENGTH_CAP", cap)
     monkeypatch.setattr(
         np2.modsolve, "min_weight_solution", lru_cache(None)(min_weight_solution)
     )
-    sets = PAPER_SETS + [odds_up_to(d) for d in range(1, 64, 2)]
-    for l_max in (None, 1, 2, 3, 5, 8, 13, 20):
-        for D in sets:
-            r = density(D, l_max)
-            assert (r.value, r.length, r.witness, r.certified) == reference_density(
-                D, l_max
-            ), (D, l_max)
+    for D in PAPER_SETS + [odds_up_to(d) for d in range(1, 64, 2)]:
+        *want, certified = reference_density(D)
+        if certified:
+            r = density(D)
+            assert [r.value, r.length, r.witness] == want, D
+        else:
+            with pytest.raises(ValueError, match=f" {want[0]} is only an upper bound"):
+                density(D)
 
 
 def test_density_spot_values():
@@ -374,6 +378,17 @@ def test_density_spot_values():
     assert density(odds_up_to(23, (15,))).value == Fraction(2, 7)
     assert density(odds_up_to(29, (15,))).value == Fraction(1, 4)
     assert density(odds_up_to(61, (31,))).value == Fraction(1, 5)
+
+
+def test_step_subtracting_two_exponents():
+    # off the odd windows one step can subtract several exponents: the
+    # length-16 minimum of (3, 47), density 3/8, steps 32 -> 14 =
+    # 2 * 32 - (47 + 3), which a graph of single-exponent jumps on states
+    # 1..max(D) lacks (its minimum cycle mean is 7/18)
+    sol = min_weight_solution((3, 47), 16)
+    phi = sol.support()
+    assert sol.weight == 6
+    assert 50 in {2 * phi[k] - phi[(k + 1) % 16] for k in range(16)}
 
 
 def test_minimal_solutions_frozen_n3():
@@ -472,9 +487,7 @@ def test_extra_classes_below_threshold():
     }
     for (d, ex), count in cases.items():
         D = odds_up_to(d, ex)
-        r = density(D)
-        assert r.certified
-        sols = minimal_irreducible_solutions(D, target=r.value)
+        sols = minimal_irreducible_solutions(D, target=density(D).value)
         assert len(sols) == count, (d, ex, [s.digits for s in sols])
 
 

@@ -87,6 +87,8 @@ def test_spec_validation():
         list(iter_curves(SweepSpec(1, 3, mode="grid")))
     with pytest.raises(ValueError, match="predictor"):
         list(iter_curves(SweepSpec(1, 3, predictors=("zeta",))))
+    with pytest.raises(ValueError, match="repeated predictor"):
+        list(iter_curves(SweepSpec(1, 3, predictors=("oracle", "oracle"))))
     with pytest.raises(ValueError, match="leading"):
         list(iter_curves(SweepSpec(1, 3, fixed=((7, 0),))))
     with pytest.raises(ValueError, match="odd"):
