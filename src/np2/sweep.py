@@ -5,8 +5,11 @@ Sweeps are deterministic: iter_curves alone decides report order.
 Exhaustive families come out in encoding order as they are enumerated;
 random families pre-draw all curves from a seed and come out sorted by
 encoding.  Records keep that order, serially and in parallel, so both
-produce byte-identical reports.  Timing is kept out of the serialized
-forms by default so report digests are stable.
+produce byte-identical reports.  A route with a family entry point
+evaluates an exhaustive family once, in the calling process, and each
+record's elapsed time carries an equal share of that work.  Timing is
+kept out of the serialized forms by default so report digests are
+stable.
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ from typing import Callable
 
 from .hasse import MIN_GENUS, classify
 from .vss import predict_first_vertex
-from .zeta import CurvePoly, first_vertex, newton_polygon_of_curve
+from .zeta import (
+    CurvePoly,
+    check_extension_degree,
+    family_first_vertices,
+    first_vertex,
+    newton_polygon_of_curve,
+)
 
 EXHAUSTIVE_CAP = 1 << 20
 
@@ -37,17 +46,25 @@ class Route:
 
     run(f) returns the values of fields in order; vertex names the field
     that holds the first vertex, None where the route gives no verdict.
+    family(spec), where given, returns run's values for every curve of an
+    exhaustive family at once, in iter_curves order; run stays the
+    reference it is tested against, and the path for random families.
     """
 
     fields: tuple[str, ...]
     vertex: str
     run: Callable[[CurvePoly], tuple]
+    family: Callable[[SweepSpec], list[tuple]] | None = None
 
 
 # The routes look the predictors up in this module when they run, so a
 # caller that swaps a predictor on the module (a tracer) is seen here.
 def _by_counting(f: CurvePoly) -> tuple:
     return (first_vertex(newton_polygon_of_curve(f)),)
+
+
+def _family_by_counting(spec: SweepSpec) -> list[tuple]:
+    return [(v,) for v in family_first_vertices(spec.field_degree, spec.genus, spec.fixed)]
 
 
 def _by_rank(f: CurvePoly) -> tuple:
@@ -66,7 +83,7 @@ def _by_case_ladder(f: CurvePoly) -> tuple:
 # disagreements are counted against; the last is the case ladder that
 # frontier_summary tabulates.
 ROUTES = {
-    "oracle": Route(("oracle",), "oracle", _by_counting),
+    "oracle": Route(("oracle",), "oracle", _by_counting, _family_by_counting),
     "vss": Route(("vss",), "vss", _by_rank),
     "hasse": Route(
         ("hasse_case", "hasse_vertex", "large_n_caveat"), "hasse_vertex", _by_case_ladder
@@ -129,6 +146,9 @@ class SweepSpec:
                 raise ValueError(f"unknown predictor {p!r}")
         if len(set(self.predictors)) < len(self.predictors):
             raise ValueError(f"repeated predictor in {','.join(self.predictors)!r}")
+        if "oracle" in self.predictors:
+            # refused here, before a report is opened, not at the first sum
+            check_extension_degree(self.field_degree * self.genus)
         q = 1 << self.field_degree
         deg = 2 * self.genus + 1
         for e, c in self.fixed:
@@ -177,8 +197,9 @@ def iter_curves(spec: SweepSpec):
             lower = tuple(fixed[e] if e in fixed else rng.randrange(q) for e in exps[:-1])
             draws.append(lower + (lead,))
         dense = sorted(draws)
+    top_down = exps[::-1]
     for values in dense:
-        yield CurvePoly.make(spec.field_degree, dict(zip(exps, values)))
+        yield CurvePoly(spec.field_degree, tuple((e, c) for e, c in zip(top_down, values[::-1]) if c))
 
 
 @dataclass(frozen=True)
@@ -206,11 +227,22 @@ def _agree(u, v):
     return u == v
 
 
-def evaluate_curve(f: CurvePoly, predictors=PREDICTORS) -> VerdictRecord:
-    t0 = time.perf_counter()
+def evaluate_curve(f: CurvePoly, predictors=PREDICTORS, batched=None, share=0.0):
+    """The record of f under the routes in predictors.
+
+    batched maps a route name to its values for f, computed with the
+    whole family; that route is not run again, and share, the seconds of
+    the family computation charged to f, is added to elapsed.
+    """
+    t0 = time.perf_counter() - share
     verdicts = {}
     for name, route in ROUTES.items():
-        values = route.run(f) if name in predictors else (None,) * len(route.fields)
+        if name not in predictors:
+            values = (None,) * len(route.fields)
+        elif batched and name in batched:
+            values = batched[name]
+        else:
+            values = route.run(f)
         verdicts.update(zip(route.fields, values))
     for flag, (a, b) in AGREEMENTS.items():
         verdicts[flag] = _agree(verdicts[ROUTES[a].vertex], verdicts[ROUTES[b].vertex])
@@ -262,16 +294,42 @@ def _threads() -> int:
     return min(int(raw), os.cpu_count() or 1)
 
 
+def _family_values(spec: SweepSpec):
+    """Per-curve values of the routes with a family entry point, and the
+    seconds charged to each curve: one dict per curve in iter_curves
+    order, or repeat(None) when no such route runs on spec."""
+    spec.validate()
+    names = [n for n in spec.predictors if ROUTES[n].family]
+    if spec.mode != "exhaustive" or not names:
+        return repeat(None), 0.0
+    t0 = time.perf_counter()
+    columns = [ROUTES[n].family(spec) for n in names]
+    rows = [dict(zip(names, values)) for values in zip(*columns)]
+    return rows, (time.perf_counter() - t0) / len(rows)
+
+
 def run_sweep(spec: SweepSpec) -> tuple[list[VerdictRecord], SweepSummary]:
     threads = _threads()
+    # the family transforms run once, here; only per-curve routes go to a pool
+    batched, share = _family_values(spec)
     if threads == 1:
-        records = [evaluate_curve(f, spec.predictors) for f in iter_curves(spec)]
+        records = [
+            evaluate_curve(f, spec.predictors, b, share)
+            for f, b in zip(iter_curves(spec), batched)
+        ]
     else:
         curves = list(iter_curves(spec))
         chunk = max(1, len(curves) // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(
-                pool.map(evaluate_curve, curves, repeat(spec.predictors), chunksize=chunk)
+                pool.map(
+                    evaluate_curve,
+                    curves,
+                    repeat(spec.predictors),
+                    batched,
+                    repeat(share),
+                    chunksize=chunk,
+                )
             )
     return records, summarize(records)
 

@@ -39,17 +39,17 @@ class CurvePoly:
         q = 1 << self.field_degree
         if not self.coeffs:
             raise ValueError("f must be nonzero")
-        seen = set()
+        above = None
         for e, c in self.coeffs:
             if e < 1 or e % 2 == 0:
                 raise ValueError(f"exponent {e} is not odd and positive")
             if not 1 <= c < q:
                 raise ValueError(f"coefficient {c} out of range for F_{{2^{self.field_degree}}}")
-            if e in seen:
+            if e == above:
                 raise ValueError(f"repeated exponent {e}")
-            seen.add(e)
-        if list(self.coeffs) != sorted(self.coeffs, reverse=True):
-            raise ValueError("coeffs must be sorted by descending exponent")
+            if above is not None and e > above:
+                raise ValueError("coeffs must be sorted by descending exponent")
+            above = e
 
     @classmethod
     def make(cls, field_degree: int, coeffs: dict[int, int]) -> "CurvePoly":
@@ -87,7 +87,7 @@ def _eval_sparse(ctx: FieldCtx, items, x: int) -> int:
     return ctx.mul(r, ctx.pow_(x, e_prev))
 
 
-def _check_extension_degree(am: int) -> None:
+def check_extension_degree(am: int) -> None:
     if not 1 <= am <= TABLE_DEGREE_CAP:
         raise ValueError(f"extension degree {am} outside 1..{TABLE_DEGREE_CAP}, the table cap")
 
@@ -99,17 +99,17 @@ def exponential_sum(f: CurvePoly, m: int) -> int:
     TABLE_DEGREE_CAP, where no table is built.
     """
     am = f.field_degree * m
-    _check_extension_degree(am)
+    check_extension_degree(am)
     n = (1 << am) - 1
-    acc = np.zeros(n, dtype=np.uint8)
+    acc = np.zeros(-(-n // 64), dtype=np.uint64)
     # Tr(c x^e) is F_2-linear in the bits of c: one cached row per bit
-    basis = [embed_bits(1 << i, f.field_degree, am) for i in range(f.field_degree)]
+    basis = _basis(f.field_degree, am)
     for e, c in f.coeffs:
         for i, b in enumerate(basis):
             if c >> i & 1:
                 acc ^= _trace_row(am, e % n or n, b)
     # x = 0 contributes +1 since f(0) = 0
-    return (1 << am) - 2 * int(np.count_nonzero(acc))
+    return (1 << am) - 2 * int(np.bitwise_count(acc).sum())
 
 
 def _exponential_sum_scalar(f: CurvePoly, am: int) -> int:
@@ -123,15 +123,29 @@ def _exponential_sum_scalar(f: CurvePoly, am: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _trace_row(am: int, e: int, cbits: int) -> np.ndarray:
-    """Trace bits of c g^(j e) for j = 0..2^am - 2, g the canonical generator."""
+def _basis(a: int, am: int) -> tuple[int, ...]:
+    """Images in F_{2^am} of the canonical basis t^i of F_{2^a}."""
+    return tuple(embed_bits(1 << i, a, am) for i in range(a))
+
+
+def _trace_bits(am: int, e: int, cbits: int) -> np.ndarray:
+    """Tr(c g^(j e)) for j = 0..2^am - 2 as uint8, g the canonical generator."""
     tab = field_table(am)
     n = (1 << am) - 1
     idx = np.arange(n, dtype=np.int64)
     idx *= e
     idx += int(tab.log[cbits])
     idx %= n
-    row = tab.trace_of_exp[idx]
+    return tab.trace_of_exp[idx]
+
+
+@lru_cache(maxsize=None)
+def _trace_row(am: int, e: int, cbits: int) -> np.ndarray:
+    """_trace_bits packed into uint64 words; the bits past 2^am - 1 are zero."""
+    packed = np.packbits(_trace_bits(am, e, cbits), bitorder="little")
+    row = np.zeros(-(-packed.size // 8) * 8, dtype=np.uint8)
+    row[: packed.size] = packed
+    row = row.view(np.uint64)
     row.setflags(write=False)
     return row
 
@@ -156,7 +170,7 @@ def l_polynomial(f: CurvePoly, full: bool = False) -> list[int]:
     if g == 0:
         return [1]
     top = 2 * g if full else g
-    _check_extension_degree(f.field_degree * top)
+    check_extension_degree(f.field_degree * top)
     s = [exponential_sum(f, m) for m in range(1, top + 1)]
     a = [1] + [0] * (2 * g)
     for k in range(1, top + 1):
@@ -221,3 +235,95 @@ def first_vertex(vertices) -> tuple[int, Fraction]:
 
 def newton_polygon_of_curve(f: CurvePoly) -> list[tuple[int, Fraction]]:
     return newton_polygon(l_polynomial(f), f.q)
+
+
+def family_first_vertices(field_degree: int, genus: int, fixed=()) -> list[tuple[int, Fraction]]:
+    """First vertex of every curve of a family, one Walsh-Hadamard transform per m.
+
+    The family is every f of degree 2g + 1 over F_{2^a} whose coefficients
+    at the exponents of fixed, (exponent, bits) pairs, are those bits; the
+    other coefficients run over F_{2^a}, a free leading one over its
+    nonzero elements.  Vertices come in ascending order of the dense
+    coefficient tuple (c_1, c_3, ..., c_{2g+1}), as first_vertex(
+    newton_polygon_of_curve(f)) would give them.
+
+    A curve's index concatenates the bits of its free coefficients, the
+    lowest exponent most significant.  Tr(c x^e) is F_2-linear in the bits
+    of c, so S_m at index b is 1 + sum_u C[u] (-1)^<b, u>, where C[u] sums
+    the sign (-1)^Tr(fixed part of f(x)) over the x != 0 whose traces
+    Tr(beta_i x^e), for the free bits, form the pattern u: the Walsh
+    spectrum of C.  The recurrence for a_1..a_g then runs over the whole
+    family as int64 arrays, and the first vertex is the largest k that
+    minimises v(a_k)/k over k = 1..2g.  Memory is about 8 * 2^(free bits)
+    bytes for the transform and 12 * g bytes per curve.
+    """
+    a, g = field_degree, genus
+    check_extension_degree(a * g)
+    # |S_m a_(k-m)| <= 2g q^(m/2) C(2g, k-m) q^((k-m)/2) <= term, and k <= g
+    # terms are summed, so the recurrence is exact in int64 while a * g <= 22
+    term = 2 * g * comb(2 * g, g) << (a * g + 1) // 2
+    if g * term >= 1 << 63:
+        raise AssertionError(f"the recurrence may overflow int64 at a = {a}, g = {g}")
+    q = 1 << a
+    deg = 2 * g + 1
+    frozen = dict(fixed)
+    if q == 2:
+        frozen.setdefault(deg, 1)  # the one nonzero leading coefficient
+    free = [e for e in range(1, deg + 1, 2) if e not in frozen]
+    nbits = a * len(free)
+    sums = []
+    for m in range(1, g + 1):
+        am = a * m
+        basis = _basis(a, am)
+        # bit 0: Tr of the fixed part of f(x); bit 1 + a k + i: Tr(beta_i x^e)
+        # for the k-th free exponent e from the top
+        pattern = np.zeros((1 << am) - 1, dtype=np.int64)
+        for e, c in frozen.items():
+            if c:
+                pattern ^= _trace_bits(am, e, embed_bits(c, a, am))
+        for k, e in enumerate(reversed(free)):
+            for i, b in enumerate(basis):
+                pattern |= _trace_bits(am, e, b).astype(np.int64) << (1 + a * k + i)
+        counts = np.bincount(pattern, minlength=2 << nbits).reshape(-1, 2)
+        spectrum = counts[:, 0] - counts[:, 1]
+        _walsh_hadamard(spectrum)
+        spectrum += 1  # x = 0
+        if deg not in frozen:
+            spectrum = spectrum.reshape(-1, q)[:, 1:].ravel()
+        sums.append(spectrum.astype(np.int32))
+    lc = [1]
+    for k in range(1, g + 1):
+        tot = sums[k - 1].astype(np.int64)
+        for m in range(1, k):
+            tot += sums[m - 1] * lc[k - m]
+        if (tot % k).any():
+            raise AssertionError(f"power sum recurrence not divisible at k={k}")
+        lc.append(tot // k)
+    # k descending, so a tie keeps the larger k; past g, a_k = q^(k-g) a_(2g-k),
+    # and a_2g = q^g starts the search
+    best_k = np.full(sums[0].size, 2 * g, dtype=np.int64)
+    best_v = np.full(sums[0].size, a * g, dtype=np.int64)
+    for k in range(2 * g - 1, 0, -1):
+        x = lc[min(k, 2 * g - k)]
+        vk = np.bitwise_count((x & -x) - 1).astype(np.int64) + a * max(k - g, 0)
+        better = (vk * best_k < best_v * k) & (x != 0)
+        best_k[better] = k
+        best_v[better] = vk[better]
+    vertex = {}
+    out = []
+    for key in zip(best_k.tolist(), best_v.tolist()):
+        if key not in vertex:
+            vertex[key] = (key[0], Fraction(key[1], a))
+        out.append(vertex[key])
+    return out
+
+
+def _walsh_hadamard(c: np.ndarray) -> None:
+    """In place: c[b] becomes sum_u c[u] (-1)^popcount(b & u)."""
+    h = 1
+    while h < c.size:
+        pairs = c.reshape(-1, 2, h)
+        lo = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(lo, pairs[:, 1], out=pairs[:, 1])
+        h *= 2

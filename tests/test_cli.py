@@ -142,6 +142,18 @@ def test_unwritable_report_exits_3_before_any_curve(tmp_path, capsys, monkeypatc
     assert not any(p.exists() and p.read_text() for p in paths.values())
 
 
+def test_refused_sweep_keeps_an_existing_report(tmp_path, capsys):
+    # the oracle's table cap is checked before the report is opened
+    out = tmp_path / "old.jsonl"
+    out.write_text("old\n")
+    argv = ["sweep", "--q", "4", "--g", "12", "--random", "--count", "1", "--out", str(out)]
+    assert main(argv) == 3
+    assert "extension degree 24 outside" in capsys.readouterr().err
+    assert out.read_text() == "old\n"
+    # without the oracle the same family is a valid sweep
+    np2.sweep.SweepSpec(2, 12, "random", count=1, predictors=("vss", "hasse")).validate()
+
+
 def test_sweep_writes_report(tmp_path, capsys):
     out = tmp_path / "g3.jsonl"
     frontier = tmp_path / "frontier.json"

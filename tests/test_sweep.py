@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,6 +27,9 @@ def spec_g3():
 
 
 ID_FIX = ((11, 0), (13, 1), (15, 0), (17, 0), (19, 1), (21, 1))
+# genus 22 over F_2 with all but four coefficients fixed: 16 curves, a * g = 22
+G22_FREE = (3, 11, 29, 41)
+G22_FIX = tuple((e, 1 if e == 45 else 0) for e in range(1, 46, 2) if e not in G22_FREE)
 
 
 def dense_keys(curves, g):
@@ -107,14 +111,43 @@ def test_exhaustive_cap_counts_the_leading_coefficient():
 
 
 def test_exhaustive_cap_counts_only_free_coefficients():
-    # genus 22 over F_2 with all but four coefficients fixed: 16 curves
-    free = (3, 11, 29, 41)
-    fixed = tuple((e, 1 if e == 45 else 0) for e in range(1, 46, 2) if e not in free)
-    curves = list(iter_curves(SweepSpec(1, 22, fixed=fixed)))
+    curves = list(iter_curves(SweepSpec(1, 22, fixed=G22_FIX)))
     assert len(curves) == 16
     keys = dense_keys(curves, 22)
     assert all(u < v for u, v in zip(keys, keys[1:]))
-    assert {e for f in curves for e, _ in f.coeffs} == set(free) | {45}
+    assert {e for f in curves for e, _ in f.coeffs} == set(G22_FREE) | {45}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *(SweepSpec(1, g) for g in range(1, 13)),
+        *(SweepSpec(2, g) for g in range(1, 6)),
+        *(SweepSpec(3, g) for g in range(1, 4)),
+        SweepSpec(1, 22, fixed=G22_FIX),
+    ],
+    ids=lambda s: f"q{1 << s.field_degree}-g{s.genus}" + ("-fix" if s.fixed else ""),
+)
+def test_family_oracle_matches_per_curve(spec):
+    # the same-route reference: one curve at a time, in iter_curves order
+    oracle = sweep.ROUTES["oracle"]
+    assert oracle.family(spec) == [oracle.run(f) for f in iter_curves(spec)]
+
+
+def test_family_time_charged_to_its_records(monkeypatch):
+    spent = []
+    oracle = sweep.ROUTES["oracle"]
+
+    def timed(spec):
+        t0 = time.perf_counter()
+        values = oracle.family(spec)
+        spent.append(time.perf_counter() - t0)
+        return values
+
+    monkeypatch.setitem(sweep.ROUTES, "oracle", replace(oracle, family=timed))
+    records, _ = run_sweep(SweepSpec(1, 8))
+    assert len(spent) == 1
+    assert sum(r.elapsed for r in records) >= spent[0]
 
 
 def test_random_sweep_reproducible():
@@ -245,6 +278,7 @@ def test_case_ladder_below_its_genus_is_absent():
 
 
 def test_threads_clamped_to_cpu_count(monkeypatch):
+    serial, _ = run_sweep(spec_g3())
     seen = []
 
     class SerialPool:
@@ -260,12 +294,26 @@ def test_threads_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, *iterables, chunksize):
             return map(fn, *iterables)
 
+    # the parent computes the exhaustive family's oracle once; the pool
+    # runs only the per-curve routes
+    oracle = sweep.ROUTES["oracle"]
+    families = []
+
+    def no_curve(f):
+        raise AssertionError("the oracle ran per curve on an exhaustive family")
+
+    def family(spec):
+        families.append(spec)
+        return oracle.family(spec)
+
+    monkeypatch.setitem(sweep.ROUTES, "oracle", replace(oracle, run=no_curve, family=family))
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setenv("NP2_THREADS", "8")
     records, _ = run_sweep(spec_g3())
     assert seen == [2]
-    assert len(records) == 8
+    assert families == [spec_g3()]
+    assert report_lines(records, "jsonl") == report_lines(serial, "jsonl")
 
 
 @pytest.mark.parametrize("value", ["x", "-2", "0", "1.5"])
@@ -301,6 +349,18 @@ def _digest(lines):
             "4f5dc776be721c5a1bfd90b04f6ccc167da879947e66a3443b5f3f3bd57d001b",
             "7ff3ee26f34fded65c518e651ee27566daaaf2f57d348684a1ef49dd6bbf1cff",
             None,
+        ),
+        (
+            SweepSpec(2, 4),
+            "5ee8e6de5d63844c265d483fb1e33f33885d25f0448e89b8a8d1361b201357cc",
+            "24a760c783fde227c065c7a6d39f37a685e72d92fcc9789e9f7f4205a5210702",
+            "435954c799f0faba4d438b0f1b7431d2c08db275bed7303fc8a3fe16c1190653",
+        ),
+        (
+            SweepSpec(1, 10, fixed=ID_FIX),
+            "325f1cbf4c08cd4c8464dd00f7410a3faea9ab90b5a79948d05345084f0f1763",
+            "cb1e8eab92e051fe9ca2e654d719314fc908d4fd8078798214f0e960e80c3018",
+            "3e18668104b4103fbc0b14b93c12549122703daa4a2cb7319a6fe891cbcf5420",
         ),
     ],
 )

@@ -140,6 +140,17 @@ def test_scalar_and_table_sums_agree():
             assert _exponential_sum_scalar(f, 5 * m) == exponential_sum(f, m)
 
 
+@pytest.mark.parametrize("am", [*range(1, 9), 13])
+def test_packed_rows_match_scalar_sum(am):
+    # rows of 2^am - 1 bits: below one 64-bit word up to am = 6, and
+    # never a whole number of words, so the padding bits are summed too
+    rng = random.Random(am)
+    for a in (d for d in range(1, am + 1) if am % d == 0):
+        for _ in range(1 if am == 13 else 3):
+            f = random_curve(rng, a, rng.randint(1, 3))
+            assert exponential_sum(f, am // a) == _exponential_sum_scalar(f, am), (f, am)
+
+
 def test_trace_rows_cached_per_coefficient_bit():
     # one row per (am, e, bit of c), not per (am, e, c): at most
     # 5 bits x 4 extension degrees x 5 exponents for F_32 genus 4
