@@ -200,11 +200,16 @@ def cmd_sweep(args) -> int:
         tuple(args.predictors.split(",")),
     )
     spec.validate()
-    # open the reports first: an unwritable path fails before any curve is evaluated
+    # an unwritable path fails here, before any curve is evaluated; opening
+    # to append truncates nothing, so existing reports keep their bytes
+    # until the sweep has finished
+    for path in (args.out, args.frontier):
+        if path:
+            open(path, "a").close()
+    records, summary = run_sweep(spec)
     with ExitStack() as files:
         out = files.enter_context(open(args.out, "w")) if args.out else sys.stdout
         frontier = files.enter_context(open(args.frontier, "w")) if args.frontier else None
-        records, summary = run_sweep(spec)
         for line in report_lines(records, args.format, args.timing):
             print(line, file=out)
         if frontier:

@@ -10,7 +10,7 @@ the dimension is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,46 +29,86 @@ class MinimalSupportMatrix:
     field_degree: int
 
 
-def build_matrix(solutions, f: CurvePoly) -> MinimalSupportMatrix:
-    """Matrix of the twisted map on the union of solution supports.
+@dataclass(frozen=True)
+class _Frame:
+    """What the rank route knows about an exponent set D before any curve.
 
-    Row i sends e(s_i) to e(2 s_i) when 2 s_i lies in Sigma, plus
-    c_d e(s_j) for every jump s_i -> s_j = 2 s_i - d that some solution
-    actually performs: the digit bit u_{d,r} = 1 sits at the position
-    where that solution's support passes through s_i.  Matching d alone,
-    without the position, would add edges no solution takes.
+    Sigma, the doubling edges and the jump edges (s_i, s_j) -> d, with
+    endpoints as indices into Sigma, fix every entry of the matrix except
+    the coefficients c_d at the jump exponents `jumps`.  So the matrix,
+    and with it the stable-image dimension, depends only on the field
+    degree and those coefficients; `dims` holds the dimension per such
+    key.
     """
-    if not solutions:
-        raise ValueError("no solutions to build from")
-    dens = solutions[0].density
-    sigma = set()
-    jump_edges = {}
-    for sol in solutions:
-        if sol.density != dens:
-            raise ValueError("solutions have mixed densities")
-        l = sol.length
-        phi = sol.support()
-        sigma.update(phi)
-        for d, u in sol.digits:
-            for r in range(l):
-                if not (u >> r) & 1:
-                    continue
-                k = l - 1 - r
-                si, sj = phi[k], phi[(k + 1) % l]
-                assert 2 * si - sj == d
-                prev = jump_edges.setdefault((si, sj), d)
-                if prev != d:
-                    raise ValueError(f"ambiguous entry at ({si}, {sj})")
-    sigma = tuple(sorted(sigma))
-    index = {s: j for j, s in enumerate(sigma)}
-    n = len(sigma)
-    rows = [[0] * n for _ in sigma]
-    for s in sigma:
-        if 2 * s in index:
-            rows[index[s]][index[2 * s]] = 1
-    for (si, sj), d in jump_edges.items():
-        rows[index[si]][index[sj]] = f.coeff(d)
-    return MinimalSupportMatrix(sigma, tuple(tuple(r) for r in rows), dens, f.field_degree)
+
+    solutions: tuple[ModSolution, ...]
+    density: Fraction
+    sigma: tuple[int, ...]
+    doubling: tuple[tuple[int, int], ...]
+    jump_edges: tuple[tuple[int, int, int], ...]
+    jumps: tuple[int, ...]
+    dims: dict = field(default_factory=dict, compare=False)
+
+    @classmethod
+    def of(cls, solutions) -> _Frame:
+        """Row i sends e(s_i) to e(2 s_i) when 2 s_i lies in Sigma, plus
+        c_d e(s_j) for every jump s_i -> s_j = 2 s_i - d that some solution
+        actually performs: the digit bit u_{d,r} = 1 sits at the position
+        where that solution's support passes through s_i.  Matching d alone,
+        without the position, would add edges no solution takes.
+        """
+        if not solutions:
+            raise ValueError("no solutions to build from")
+        dens = solutions[0].density
+        sigma = set()
+        jump_edges = {}
+        for sol in solutions:
+            if sol.density != dens:
+                raise ValueError("solutions have mixed densities")
+            l = sol.length
+            phi = sol.support()
+            sigma.update(phi)
+            for d, u in sol.digits:
+                for r in range(l):
+                    if not (u >> r) & 1:
+                        continue
+                    k = l - 1 - r
+                    si, sj = phi[k], phi[(k + 1) % l]
+                    assert 2 * si - sj == d
+                    prev = jump_edges.setdefault((si, sj), d)
+                    if prev != d:
+                        raise ValueError(f"ambiguous entry at ({si}, {sj})")
+        sigma = tuple(sorted(sigma))
+        index = {s: j for j, s in enumerate(sigma)}
+        return cls(
+            tuple(solutions),
+            dens,
+            sigma,
+            tuple((index[s], index[2 * s]) for s in sigma if 2 * s in index),
+            tuple((index[si], index[sj], d) for (si, sj), d in jump_edges.items()),
+            tuple(sorted(set(jump_edges.values()))),
+        )
+
+    def key(self, f: CurvePoly) -> tuple:
+        c = dict(f.coeffs)
+        return (f.field_degree, tuple(c.get(d, 0) for d in self.jumps))
+
+    def matrix(self, f: CurvePoly) -> MinimalSupportMatrix:
+        n = len(self.sigma)
+        rows = [[0] * n for _ in self.sigma]
+        for i, j in self.doubling:
+            rows[i][j] = 1
+        for i, j, d in self.jump_edges:
+            rows[i][j] = f.coeff(d)
+        return MinimalSupportMatrix(
+            self.sigma, tuple(tuple(r) for r in rows), self.density, f.field_degree
+        )
+
+
+def build_matrix(solutions, f: CurvePoly) -> MinimalSupportMatrix:
+    """Matrix of the twisted map on the union of solution supports, built
+    from the solutions alone; see _Frame.of for its rows."""
+    return _Frame.of(solutions).matrix(f)
 
 
 def _images(M: MinimalSupportMatrix) -> list[int]:
@@ -158,8 +198,19 @@ def effective_exponent_set(f: CurvePoly) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _solutions_cached(D) -> tuple[ModSolution, ...]:
-    return tuple(minimal_irreducible_solutions(D))
+def _frame(D) -> _Frame:
+    # a refused density raises here, and lru_cache stores no exception
+    return _Frame.of(minimal_irreducible_solutions(D))
+
+
+def _dim(frame: _Frame, f: CurvePoly) -> int:
+    """Stable-image dimension of f's matrix: one build_matrix and vss_dim
+    per distinct key of the frame, a dict lookup for every other curve."""
+    key = frame.key(f)
+    d = frame.dims.get(key)
+    if d is None:
+        d = frame.dims[key] = vss_dim(build_matrix(frame.solutions, f))
+    return d
 
 
 @dataclass(frozen=True)
@@ -173,8 +224,9 @@ class VssReport:
 
 
 def vss_report(f: CurvePoly) -> VssReport:
-    M = build_matrix(_solutions_cached(effective_exponent_set(f)), f)
-    d = vss_dim(M)
+    frame = _frame(effective_exponent_set(f))
+    M = frame.matrix(f)
+    d = _dim(frame, f)
     if d > 0:
         return VssReport(M, d, (d, M.density * d), None)
     return VssReport(M, 0, None, M.density)
@@ -183,4 +235,6 @@ def vss_report(f: CurvePoly) -> VssReport:
 def predict_first_vertex(f: CurvePoly) -> tuple[int, Fraction] | None:
     """First Newton polygon vertex per the stable image, or None when
     the dimension vanishes (first slope strictly above the density)."""
-    return vss_report(f).vertex
+    frame = _frame(effective_exponent_set(f))
+    d = _dim(frame, f)
+    return (d, frame.density * d) if d else None

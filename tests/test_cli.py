@@ -132,6 +132,9 @@ def test_unwritable_report_exits_3_before_any_curve(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(np2.sweep, "evaluate_curve", no_curves)
     paths = {"--out": tmp_path / "g3.jsonl", "--frontier": tmp_path / "frontier.json"}
     paths[flag] = tmp_path / "missing" / "report"
+    # the other report already exists and must keep its bytes
+    (good,) = (p for name, p in paths.items() if name != flag)
+    good.write_text("old\n")
     argv = ["sweep", "--q", "2", "--g", "3", "--exhaustive"]
     for name, path in paths.items():
         argv += [name, str(path)]
@@ -139,7 +142,7 @@ def test_unwritable_report_exits_3_before_any_curve(tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "No such file or directory" in captured.err and captured.out == ""
-    assert not any(p.exists() and p.read_text() for p in paths.values())
+    assert not paths[flag].exists() and good.read_text() == "old\n"
 
 
 def test_refused_sweep_keeps_an_existing_report(tmp_path, capsys):

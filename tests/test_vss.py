@@ -6,6 +6,7 @@ import pytest
 
 import np2.modsolve
 import np2.vss
+from np2.sweep import SweepSpec, iter_curves, run_sweep
 from helpers import apply_phi, chain_dim, row_reduce
 from np2.field import make_ctx
 from np2.modsolve import ModSolution, minimal_irreducible_solutions, odds_up_to
@@ -361,6 +362,61 @@ def test_oracle_agreement_random_f4():
 def test_uncertified_density_raises(monkeypatch):
     # past the lru cache, which may already hold this set from another test
     monkeypatch.setattr(np2.modsolve, "SIGMA_LENGTH_CAP", 2)
-    monkeypatch.setattr(np2.vss, "_solutions_cached", np2.vss._solutions_cached.__wrapped__)
-    with pytest.raises(ValueError, match="not proven minimal"):
-        vss_report(curve(1, {7: 1}))
+    monkeypatch.setattr(np2.vss, "_frame", np2.vss._frame.__wrapped__)
+    # a refusal leaves nothing behind that a second call could reuse
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not proven minimal"):
+            vss_report(curve(1, {7: 1}))
+
+
+def reuse_samples():
+    specs = [SweepSpec(1, g) for g in range(1, 13)]
+    specs += [SweepSpec(2, g) for g in range(1, 6)] + [SweepSpec(3, g) for g in range(1, 4)]
+    specs.append(SweepSpec(5, 4, "random", seed=3, count=300))
+    return [f for spec in specs for f in iter_curves(spec)]
+
+
+def test_reused_dimension_matches_a_fresh_build():
+    # the per-D frame against build_matrix and vss_dim from the solutions,
+    # with the frame cache cold and then warmed in reverse curve order
+    samples = reuse_samples()
+    fresh = {}
+    want = []
+    for f in samples:
+        D = effective_exponent_set(f)
+        if D not in fresh:
+            fresh[D] = minimal_irreducible_solutions(D)
+        M = build_matrix(fresh[D], f)
+        d = vss_dim(M)
+        vertex = (d, M.density * d) if d else None
+        want.append((M.sigma, M.entries, d, vertex, None if d else M.density))
+    np2.vss._frame.cache_clear()
+    for warm in (False, True):
+        if warm:
+            np2.vss._frame.cache_clear()
+            for f in reversed(samples):
+                predict_first_vertex(f)
+        for f, (sigma, entries, d, vertex, slope_above) in zip(samples, want):
+            r = vss_report(f)
+            got = (r.matrix.sigma, r.matrix.entries, r.dim, r.vertex, r.slope_above)
+            assert got == (sigma, entries, d, vertex, slope_above), (warm, f)
+            assert predict_first_vertex(f) == vertex, (warm, f)
+
+
+def test_sweep_builds_one_matrix_per_distinct_matrix(monkeypatch):
+    monkeypatch.delenv("NP2_THREADS", raising=False)
+    np2.vss._frame.cache_clear()
+    build = np2.vss.build_matrix
+    built = []
+
+    def counted(solutions, f):
+        M = build(solutions, f)
+        built.append((M.sigma, M.entries))
+        return M
+
+    monkeypatch.setattr(np2.vss, "build_matrix", counted)
+    spec = SweepSpec(1, 10, predictors=("vss",))
+    records, _ = run_sweep(spec)
+    seen = {(r.matrix.sigma, r.matrix.entries) for r in map(vss_report, iter_curves(spec))}
+    assert len(built) == len(seen) < len(records) == 1024
+    assert set(built) == seen
