@@ -3,12 +3,12 @@ serialize one verdict per curve.
 
 Sweeps are deterministic: iter_curves alone decides report order.
 Exhaustive families come out in encoding order as they are enumerated;
-random families pre-draw all curves from a seed and come out sorted by
-encoding.  Records keep that order, serially and in parallel, so both
-produce byte-identical reports.  A route with a family entry point
-evaluates an exhaustive family once, in the calling process, and each
-record's elapsed time carries an equal share of that work.  Timing is
-kept out of the serialized forms by default so report digests are
+random families pre-draw all curves from a seed (random_draws) and come
+out sorted by encoding.  Records keep that order, serially and in
+parallel, so both produce byte-identical reports.  A route with a family
+entry point evaluates the whole family once, in the calling process, and
+each record's elapsed time carries an equal share of that work.  Timing
+is kept out of the serialized forms by default so report digests are
 stable.
 """
 
@@ -32,6 +32,7 @@ from .vss import predict_first_vertex
 from .zeta import (
     CurvePoly,
     check_extension_degree,
+    curves_first_vertices,
     family_first_vertices,
     first_vertex,
     newton_polygon_of_curve,
@@ -46,15 +47,17 @@ class Route:
 
     run(f) returns the values of fields in order; vertex names the field
     that holds the first vertex, None where the route gives no verdict.
-    family(spec), where given, returns run's values for every curve of an
-    exhaustive family at once, in iter_curves order; run stays the
-    reference it is tested against, and the path for random families.
+    family(spec, draws), where given, returns run's values for every
+    curve of a family at once, exhaustive or random, in iter_curves
+    order; draws are random_draws(spec), None for an exhaustive family.
+    run stays the reference that family is tested against, and the path
+    for a single curve.
     """
 
     fields: tuple[str, ...]
     vertex: str
     run: Callable[[CurvePoly], tuple]
-    family: Callable[[SweepSpec], list[tuple]] | None = None
+    family: Callable[[SweepSpec, list[tuple] | None], list[tuple]] | None = None
 
 
 # The routes look the predictors up in this module when they run, so a
@@ -63,8 +66,12 @@ def _by_counting(f: CurvePoly) -> tuple:
     return (first_vertex(newton_polygon_of_curve(f)),)
 
 
-def _family_by_counting(spec: SweepSpec) -> list[tuple]:
-    return [(v,) for v in family_first_vertices(spec.field_degree, spec.genus, spec.fixed)]
+def _family_by_counting(spec: SweepSpec, draws) -> list[tuple]:
+    if draws is None:
+        vertices = family_first_vertices(spec.field_degree, spec.genus, spec.fixed)
+    else:
+        vertices = curves_first_vertices(spec.field_degree, draws)
+    return [(v,) for v in vertices]
 
 
 def _by_rank(f: CurvePoly) -> tuple:
@@ -171,11 +178,34 @@ class SweepSpec:
             raise ValueError("random sweep needs a positive count")
 
 
-def iter_curves(spec: SweepSpec):
+def random_draws(spec: SweepSpec) -> list[tuple[int, ...]] | None:
+    """A random family's dense coefficient tuples (c_1, c_3, ..., c_{2g+1})
+    in report order, None for an exhaustive family.
+
+    Report order is ascending; duplicate draws are all kept.
+    """
+    spec.validate()
+    if spec.mode == "exhaustive":
+        return None
+    q = 1 << spec.field_degree
+    deg = 2 * spec.genus + 1
+    fixed = dict(spec.fixed)
+    rng = Random(spec.seed)
+    draws = []
+    for _ in range(spec.count):
+        # the leading coefficient is drawn first, even when it is fixed
+        lead = fixed.get(deg, rng.randrange(1, q))
+        lower = tuple(fixed[e] if e in fixed else rng.randrange(q) for e in range(1, deg, 2))
+        draws.append(lower + (lead,))
+    return sorted(draws)
+
+
+def iter_curves(spec: SweepSpec, draws=None):
     """Curves of the family in report order.
 
     That is ascending order of the dense coefficient tuple
     (c_1, c_3, ..., c_{2g+1}); duplicate random draws keep draw order.
+    draws, where given, are random_draws(spec), made once by the caller.
     """
     spec.validate()
     q = 1 << spec.field_degree
@@ -189,14 +219,7 @@ def iter_curves(spec: SweepSpec):
         ]
         dense = product(*choices)
     else:
-        rng = Random(spec.seed)
-        draws = []
-        for _ in range(spec.count):
-            # the leading coefficient is drawn first, even when it is fixed
-            lead = fixed.get(deg, rng.randrange(1, q))
-            lower = tuple(fixed[e] if e in fixed else rng.randrange(q) for e in exps[:-1])
-            draws.append(lower + (lead,))
-        dense = sorted(draws)
+        dense = random_draws(spec) if draws is None else draws
     top_down = exps[::-1]
     for values in dense:
         yield CurvePoly(spec.field_degree, tuple((e, c) for e, c in zip(top_down, values[::-1]) if c))
@@ -294,31 +317,33 @@ def _threads() -> int:
     return min(int(raw), os.cpu_count() or 1)
 
 
-def _family_values(spec: SweepSpec):
+def _family_values(spec: SweepSpec, draws):
     """Per-curve values of the routes with a family entry point, and the
     seconds charged to each curve: one dict per curve in iter_curves
-    order, or repeat(None) when no such route runs on spec."""
-    spec.validate()
+    order, or repeat(None) when no such route runs on spec.  draws are
+    random_draws(spec)."""
     names = [n for n in spec.predictors if ROUTES[n].family]
-    if spec.mode != "exhaustive" or not names:
+    if not names:
         return repeat(None), 0.0
     t0 = time.perf_counter()
-    columns = [ROUTES[n].family(spec) for n in names]
+    columns = [ROUTES[n].family(spec, draws) for n in names]
     rows = [dict(zip(names, values)) for values in zip(*columns)]
     return rows, (time.perf_counter() - t0) / len(rows)
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[VerdictRecord], SweepSummary]:
     threads = _threads()
+    # drawn once, validating spec, for the family routes and the records
+    draws = random_draws(spec)
     # the family transforms run once, here; only per-curve routes go to a pool
-    batched, share = _family_values(spec)
+    batched, share = _family_values(spec, draws)
     if threads == 1:
         records = [
             evaluate_curve(f, spec.predictors, b, share)
-            for f, b in zip(iter_curves(spec), batched)
+            for f, b in zip(iter_curves(spec, draws), batched)
         ]
     else:
-        curves = list(iter_curves(spec))
+        curves = list(iter_curves(spec, draws))
         chunk = max(1, len(curves) // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(

@@ -194,7 +194,13 @@ def effective_exponent_set(f: CurvePoly) -> tuple[int, ...]:
         t2 = 3 * (1 << (n - 1)) - 1
         if f.coeff(t2) == 0:
             strip.append(t2)
-    return odds_up_to(f.deg, exclude=strip)
+    return _exponent_set(f.deg, tuple(strip))
+
+
+@lru_cache(maxsize=None)
+def _exponent_set(deg: int, strip: tuple[int, ...]) -> tuple[int, ...]:
+    # at most four strip tuples per degree, so each set is built once
+    return odds_up_to(deg, exclude=strip)
 
 
 @lru_cache(maxsize=None)

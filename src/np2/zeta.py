@@ -237,6 +237,101 @@ def newton_polygon_of_curve(f: CurvePoly) -> list[tuple[int, Fraction]]:
     return newton_polygon(l_polynomial(f), f.q)
 
 
+@dataclass(frozen=True)
+class _Orbits:
+    """Orbits of j -> 2^a j mod 2^am - 1 on the exponents of F_{2^am}^*.
+
+    Multiplying by 2^a rotates the am-bit word j left by a bits, so every
+    orbit has a size s dividing m = am / a.  For f with coefficients in
+    F_{2^a}, Tr(f(x^(2^a))) = Tr(f(x)), so a sum over F_{2^am}^* needs one
+    leader j per orbit, weighted by its size.  Segment k holds counts[k]
+    leaders of orbit size sizes[k], ascending, in slots 64 * bounds[k] ..
+    of leaders; the slots past them up to 64 * bounds[k + 1] hold 0, and
+    mask clears their bits in a packed row.
+    """
+
+    sizes: tuple[int, ...]
+    counts: tuple[int, ...]
+    bounds: tuple[int, ...]
+    leaders: np.ndarray
+    mask: np.ndarray
+
+    def segments(self):
+        """(size, leaders) of every segment."""
+        for s, c, lo in zip(self.sizes, self.counts, self.bounds):
+            yield s, self.leaders[64 * lo : 64 * lo + c]
+
+
+# candidates, and leaders, per block of the leader search and of a leader
+# row, to bound their scratch memory; a multiple of 64
+_LEADER_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _orbit_leaders(a: int, am: int) -> _Orbits:
+    """The least exponent of every orbit, grouped by orbit size; see _Orbits."""
+    m = am // a
+    n = (1 << am) - 1
+    divisors = [s for s in range(1, m + 1) if m % s == 0]
+    parts = {s: [] for s in divisors}
+    for lo in range(0, n, _LEADER_BLOCK):
+        # a leader is at most each of its rotations; drop a candidate at
+        # the first rotation below it
+        lead = np.arange(lo, min(n, lo + _LEADER_BLOCK), dtype=np.uint32)
+        rot = lead
+        for _ in range(1, m):
+            rot = rot << a & n | rot >> (am - a)
+            keep = lead <= rot
+            lead, rot = lead[keep], rot[keep]
+        # the orbit size is the least s | m whose rotation fixes the leader
+        size = np.full(lead.size, m, dtype=np.uint8)
+        for s in reversed(divisors[:-1]):
+            shift = a * s
+            size[(lead << shift & n | lead >> (am - shift)) == lead] = s
+        for s in divisors:
+            parts[s].append(lead[size == s])
+    sizes, counts, bounds = [], [], [0]
+    for s in divisors:
+        c = sum(part.size for part in parts[s])
+        if c:
+            sizes.append(s)
+            counts.append(c)
+            bounds.append(bounds[-1] - (-c // 64))
+    leaders = np.zeros(64 * bounds[-1], dtype=np.uint32)
+    mask = np.full(bounds[-1], (1 << 64) - 1, dtype=np.uint64)
+    for s, c, lo in zip(sizes, counts, bounds):
+        leaders[64 * lo : 64 * lo + c] = np.concatenate(parts.pop(s))
+        if c % 64:
+            mask[lo + c // 64] = (1 << c % 64) - 1
+    for arr in (leaders, mask):
+        arr.setflags(write=False)
+    return _Orbits(tuple(sizes), tuple(counts), tuple(bounds), leaders, mask)
+
+
+@lru_cache(maxsize=None)
+def _leader_rows(a: int, am: int, e: int) -> np.ndarray:
+    """Tr(beta_i g^(j e)) over the orbit leaders j, one packed uint64 row
+    per basis image beta_i of F_{2^a}, laid out as _Orbits; padding bits
+    are zero."""
+    tab = field_table(am)
+    n = (1 << am) - 1
+    orbits = _orbit_leaders(a, am)
+    logs = [int(tab.log[b]) for b in _basis(a, am)]
+    rows = np.empty((a, orbits.mask.size), dtype=np.uint64)
+    for lo in range(0, orbits.leaders.size, _LEADER_BLOCK):
+        je = orbits.leaders[lo : lo + _LEADER_BLOCK].astype(np.int64)
+        je *= e
+        je %= n
+        words = slice(lo // 64, (lo + je.size) // 64)
+        for i, lb in enumerate(logs):
+            idx = je + lb
+            idx[idx >= n] -= n
+            rows[i, words] = np.packbits(tab.trace_of_exp[idx], bitorder="little").view(np.uint64)
+    rows &= orbits.mask
+    rows.setflags(write=False)
+    return rows
+
+
 def family_first_vertices(field_degree: int, genus: int, fixed=()) -> list[tuple[int, Fraction]]:
     """First vertex of every curve of a family, one Walsh-Hadamard transform per m.
 
@@ -252,18 +347,13 @@ def family_first_vertices(field_degree: int, genus: int, fixed=()) -> list[tuple
     of c, so S_m at index b is 1 + sum_u C[u] (-1)^<b, u>, where C[u] sums
     the sign (-1)^Tr(fixed part of f(x)) over the x != 0 whose traces
     Tr(beta_i x^e), for the free bits, form the pattern u: the Walsh
-    spectrum of C.  The recurrence for a_1..a_g then runs over the whole
-    family as int64 arrays, and the first vertex is the largest k that
-    minimises v(a_k)/k over k = 1..2g.  Memory is about 8 * 2^(free bits)
-    bytes for the transform and 12 * g bytes per curve.
+    spectrum of C.  Every x in one Frobenius orbit has the same pattern, so
+    C counts the orbit leaders, each weighted by its orbit size.  Memory is
+    about 8 * 2^(free bits) bytes for the transform and 12 * g bytes per
+    curve.
     """
     a, g = field_degree, genus
     check_extension_degree(a * g)
-    # |S_m a_(k-m)| <= 2g q^(m/2) C(2g, k-m) q^((k-m)/2) <= term, and k <= g
-    # terms are summed, so the recurrence is exact in int64 while a * g <= 22
-    term = 2 * g * comb(2 * g, g) << (a * g + 1) // 2
-    if g * term >= 1 << 63:
-        raise AssertionError(f"the recurrence may overflow int64 at a = {a}, g = {g}")
     q = 1 << a
     deg = 2 * g + 1
     frozen = dict(fixed)
@@ -274,23 +364,110 @@ def family_first_vertices(field_degree: int, genus: int, fixed=()) -> list[tuple
     sums = []
     for m in range(1, g + 1):
         am = a * m
-        basis = _basis(a, am)
+        orbits = _orbit_leaders(a, am)
         # bit 0: Tr of the fixed part of f(x); bit 1 + a k + i: Tr(beta_i x^e)
         # for the k-th free exponent e from the top
-        pattern = np.zeros((1 << am) - 1, dtype=np.int64)
+        fixed_row = np.zeros(orbits.mask.size, dtype=np.uint64)
         for e, c in frozen.items():
-            if c:
-                pattern ^= _trace_bits(am, e, embed_bits(c, a, am))
+            rows = _leader_rows(a, am, e)
+            for i in range(a):
+                if c >> i & 1:
+                    fixed_row ^= rows[i]
+        pattern = _unpack(fixed_row).astype(np.int64)
         for k, e in enumerate(reversed(free)):
-            for i, b in enumerate(basis):
-                pattern |= _trace_bits(am, e, b).astype(np.int64) << (1 + a * k + i)
-        counts = np.bincount(pattern, minlength=2 << nbits).reshape(-1, 2)
+            for i, row in enumerate(_leader_rows(a, am, e)):
+                pattern |= _unpack(row).astype(np.int64) << (1 + a * k + i)
+        counts = np.zeros(2 << nbits, dtype=np.int64)
+        for s, c, lo in zip(orbits.sizes, orbits.counts, orbits.bounds):
+            seg = pattern[64 * lo : 64 * lo + c]
+            counts += s * np.bincount(seg, minlength=2 << nbits)
+        counts = counts.reshape(-1, 2)
         spectrum = counts[:, 0] - counts[:, 1]
         _walsh_hadamard(spectrum)
         spectrum += 1  # x = 0
         if deg not in frozen:
             spectrum = spectrum.reshape(-1, q)[:, 1:].ravel()
-        sums.append(spectrum.astype(np.int32))
+        sums.append(spectrum)
+    return _first_vertices(a, g, sums)
+
+
+def _unpack(row: np.ndarray) -> np.ndarray:
+    return np.unpackbits(row.view(np.uint8), bitorder="little")
+
+
+# bytes of packed trace words that curves_first_vertices holds per chunk
+_CHUNK_BYTES = 1 << 20
+
+
+def curves_first_vertices(field_degree: int, dense) -> list[tuple[int, Fraction]]:
+    """First vertex of each curve of a list, in its order.
+
+    dense holds one row (c_1, c_3, ..., c_{2g+1}) per curve over
+    F_{2^a}, every last entry nonzero, so all curves have genus g.  For
+    each m, a curve's leader row of Tr(f(x)) XORs the rows of
+    _leader_rows for the set bits of its coefficients: through tables of
+    the XORs of up to four rows, one table lookup per four bits, for a
+    chunk of curves of about _CHUNK_BYTES at a time; bits set in no curve
+    are skipped.  Then S_m = 1 + sum over orbit sizes s of
+    s * (leaders - 2 * set bits).
+    """
+    a = field_degree
+    dense = np.asarray(dense, dtype=np.int64)
+    curves, width = dense.shape
+    g = width - 1
+    check_extension_degree(a * g)
+    if not dense[:, -1].all():
+        raise ValueError("a curve has a zero leading coefficient")
+    # (exponent index, bit, bit of every curve) of the bits some curve sets
+    used = []
+    for k in range(width):
+        for i in range(a):
+            col = dense[:, k] >> i & 1
+            if col.any():
+                used.append((k, i, col))
+    sums = []
+    for m in range(1, g + 1):
+        am = a * m
+        orbits = _orbit_leaders(a, am)
+        rows = [_leader_rows(a, am, 2 * k + 1) for k in range(width)]
+        words = orbits.mask.size
+        chunk = max(1, _CHUNK_BYTES // (8 * words))
+        # a table of 2^w rows pays off once a chunk holds that many curves
+        w = max(1, min(4, chunk.bit_length() - 1))
+        total = np.empty(curves, dtype=np.int64)
+        for lo in range(0, curves, chunk):
+            hi = min(curves, lo + chunk)
+            acc = np.zeros((hi - lo, words), dtype=np.uint64)
+            for t in range(0, len(used), w):
+                group = used[t : t + w]
+                table = np.zeros((1 << len(group), words), dtype=np.uint64)
+                index = np.zeros(hi - lo, dtype=np.intp)
+                for r, (k, i, col) in enumerate(group):
+                    np.bitwise_xor(table[: 1 << r], rows[k][i], out=table[1 << r : 2 << r])
+                    index |= col[lo:hi] << r
+                acc ^= table[index]
+            # S_m = 2^am - 2 sum_s s * (set bits in segment s), x = 0 included
+            ones = np.zeros(hi - lo, dtype=np.int64)
+            for s, b0, b1 in zip(orbits.sizes, orbits.bounds, orbits.bounds[1:]):
+                ones += s * np.bitwise_count(acc[:, b0:b1]).sum(axis=1, dtype=np.int64)
+            total[lo:hi] = (1 << am) - 2 * ones
+        sums.append(total)
+    return _first_vertices(a, g, sums)
+
+
+def _first_vertices(a: int, g: int, sums) -> list[tuple[int, Fraction]]:
+    """First vertex of each curve from its sums: sums[m - 1] holds S_m of
+    every curve, m = 1..g.
+
+    The recurrence for a_1..a_g runs over all curves as int64 arrays, and
+    the first vertex is the largest k that minimises v(a_k)/k over
+    k = 1..2g.
+    """
+    # |S_m a_(k-m)| <= 2g q^(m/2) C(2g, k-m) q^((k-m)/2) <= term, and k <= g
+    # terms are summed, so the recurrence is exact in int64 while a * g <= 22
+    term = 2 * g * comb(2 * g, g) << (a * g + 1) // 2
+    if g * term >= 1 << 63:
+        raise AssertionError(f"the recurrence may overflow int64 at a = {a}, g = {g}")
     lc = [1]
     for k in range(1, g + 1):
         tot = sums[k - 1].astype(np.int64)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import np2.zeta
 from np2 import sweep
 from np2.sweep import (
     VERDICT_FIELDS,
@@ -16,6 +17,7 @@ from np2.sweep import (
     iter_curves,
     parse_coeffs,
     parse_frac,
+    random_draws,
     report_lines,
     run_sweep,
 )
@@ -118,6 +120,19 @@ def test_exhaustive_cap_counts_only_free_coefficients():
     assert {e for f in curves for e, _ in f.coeffs} == set(G22_FREE) | {45}
 
 
+# 40 draws from the 8 curves of F_2 genus 3, so most curves repeat
+DUPLICATES = SweepSpec(1, 3, mode="random", seed=7, count=40)
+RANDOM_F4 = SweepSpec(2, 5, mode="random", seed=7, count=50)
+
+
+def spec_id(s):
+    return (
+        f"q{1 << s.field_degree}-g{s.genus}"
+        + (f"-random{s.count}" if s.mode == "random" else "")
+        + ("-fix" if s.fixed else "")
+    )
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -125,29 +140,55 @@ def test_exhaustive_cap_counts_only_free_coefficients():
         *(SweepSpec(2, g) for g in range(1, 6)),
         *(SweepSpec(3, g) for g in range(1, 4)),
         SweepSpec(1, 22, fixed=G22_FIX),
+        SweepSpec(1, 14, mode="random", seed=1, count=128),
+        *(SweepSpec(2, g, mode="random", seed=g, count=100) for g in range(8, 11)),
+        SweepSpec(5, 4, mode="random", seed=4, count=200),
+        SweepSpec(3, 3, mode="random", seed=3, count=60, fixed=((7, 5), (5, 0), (1, 6))),
+        DUPLICATES,
     ],
-    ids=lambda s: f"q{1 << s.field_degree}-g{s.genus}" + ("-fix" if s.fixed else ""),
+    ids=spec_id,
 )
 def test_family_oracle_matches_per_curve(spec):
     # the same-route reference: one curve at a time, in iter_curves order
     oracle = sweep.ROUTES["oracle"]
-    assert oracle.family(spec) == [oracle.run(f) for f in iter_curves(spec)]
+    curves = list(iter_curves(spec))
+    assert oracle.family(spec, random_draws(spec)) == [oracle.run(f) for f in curves]
+
+
+def test_random_family_has_duplicates():
+    curves = list(iter_curves(DUPLICATES))
+    assert len(set(curves)) < len(curves)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 200, 2000])
+def test_random_family_chunks_match_per_curve(monkeypatch, chunk_bytes):
+    # one curve per chunk with two-row tables, then a few curves per chunk
+    monkeypatch.setattr(np2.zeta, "_CHUNK_BYTES", chunk_bytes)
+    spec = SweepSpec(2, 5, mode="random", seed=11, count=40)
+    oracle = sweep.ROUTES["oracle"]
+    assert oracle.family(spec, random_draws(spec)) == [oracle.run(f) for f in iter_curves(spec)]
+
+
+def test_random_family_needs_a_leading_coefficient():
+    with pytest.raises(ValueError, match="leading"):
+        np2.zeta.curves_first_vertices(1, [(1, 0, 1), (1, 1, 0)])
 
 
 def test_family_time_charged_to_its_records(monkeypatch):
-    spent = []
     oracle = sweep.ROUTES["oracle"]
 
-    def timed(spec):
+    def timed(spec, draws):
         t0 = time.perf_counter()
-        values = oracle.family(spec)
+        values = oracle.family(spec, draws)
         spent.append(time.perf_counter() - t0)
         return values
 
     monkeypatch.setitem(sweep.ROUTES, "oracle", replace(oracle, family=timed))
-    records, _ = run_sweep(SweepSpec(1, 8))
-    assert len(spent) == 1
-    assert sum(r.elapsed for r in records) >= spent[0]
+    for spec in (SweepSpec(1, 8), RANDOM_F4):
+        spent = []
+        records, _ = run_sweep(spec)
+        assert len(spent) == 1
+        assert sum(r.elapsed for r in records) >= spent[0]
 
 
 def test_random_sweep_reproducible():
@@ -278,7 +319,8 @@ def test_case_ladder_below_its_genus_is_absent():
 
 
 def test_threads_clamped_to_cpu_count(monkeypatch):
-    serial, _ = run_sweep(spec_g3())
+    specs = (spec_g3(), RANDOM_F4)
+    serial = [run_sweep(spec)[0] for spec in specs]
     seen = []
 
     class SerialPool:
@@ -294,26 +336,29 @@ def test_threads_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, *iterables, chunksize):
             return map(fn, *iterables)
 
-    # the parent computes the exhaustive family's oracle once; the pool
-    # runs only the per-curve routes
+    # the parent computes the family's oracle once; the pool runs only the
+    # per-curve routes
     oracle = sweep.ROUTES["oracle"]
     families = []
 
     def no_curve(f):
-        raise AssertionError("the oracle ran per curve on an exhaustive family")
+        raise AssertionError("the oracle ran per curve in a sweep")
 
-    def family(spec):
+    def family(spec, draws):
         families.append(spec)
-        return oracle.family(spec)
+        return oracle.family(spec, draws)
 
     monkeypatch.setitem(sweep.ROUTES, "oracle", replace(oracle, run=no_curve, family=family))
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setenv("NP2_THREADS", "8")
-    records, _ = run_sweep(spec_g3())
-    assert seen == [2]
-    assert families == [spec_g3()]
-    assert report_lines(records, "jsonl") == report_lines(serial, "jsonl")
+    for spec, want in zip(specs, serial):
+        seen.clear()
+        families.clear()
+        records, _ = run_sweep(spec)
+        assert seen == [2]
+        assert families == [spec]
+        assert report_lines(records, "jsonl") == report_lines(want, "jsonl")
 
 
 @pytest.mark.parametrize("value", ["x", "-2", "0", "1.5"])
@@ -345,7 +390,7 @@ def _digest(lines):
             "0d83f20bec64f2879bc7bd3bbfb28f3a28e2dfd4899766b859e0b3420e83d46a",
         ),
         (
-            SweepSpec(2, 5, mode="random", seed=7, count=50),
+            RANDOM_F4,
             "4f5dc776be721c5a1bfd90b04f6ccc167da879947e66a3443b5f3f3bd57d001b",
             "7ff3ee26f34fded65c518e651ee27566daaaf2f57d348684a1ef49dd6bbf1cff",
             None,

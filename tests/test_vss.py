@@ -181,6 +181,42 @@ def test_effective_exponent_set():
     assert effective_exponent_set(curve(1, {11: 1})) == (1, 3, 5, 9, 11)
 
 
+def effective_exponent_set_per_curve(f):
+    # D built afresh for each curve: the reference
+    n = (2 * f.genus + 2).bit_length() - 1
+    strip = []
+    t1 = (1 << n) - 1
+    if f.coeff(t1) == 0:
+        strip.append(t1)
+    if f.deg == (1 << (n + 1)) - 3:
+        t2 = 3 * (1 << (n - 1)) - 1
+        if f.coeff(t2) == 0:
+            strip.append(t2)
+    return odds_up_to(f.deg, exclude=strip)
+
+
+def test_effective_exponent_set_matches_per_curve_build():
+    for g in range(1, 11):
+        for f in all_curves_f2(g):
+            assert effective_exponent_set(f) == effective_exponent_set_per_curve(f), f
+
+
+def test_rank_route_builds_each_exponent_set_once(monkeypatch):
+    monkeypatch.delenv("NP2_THREADS", raising=False)
+    np2.vss._exponent_set.cache_clear()
+    calls = []
+
+    def counted(n, exclude=()):
+        calls.append((n, tuple(exclude)))
+        return odds_up_to(n, exclude)
+
+    monkeypatch.setattr(np2.vss, "odds_up_to", counted)
+    records, _ = run_sweep(SweepSpec(1, 12, predictors=("vss",)))
+    assert len(records) == 4096
+    # at degree 25, D keeps or drops t1 = 15; t2 plays no part
+    assert sorted(calls) == [(25, ()), (25, (15,))]
+
+
 def test_predict_frozen_examples():
     assert predict_first_vertex(curve(1, {7: 1, 3: 1})) == (3, Fraction(1))
     assert predict_first_vertex(curve(1, {13: 1, 11: 1})) == (6, Fraction(2))

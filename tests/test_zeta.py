@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from np2.field import embed_bits, make_ctx
 from np2.zeta import (
     CurvePoly,
     _exponential_sum_scalar,
+    _orbit_leaders,
     _trace_row,
     exponential_sum,
     first_vertex,
@@ -159,6 +161,32 @@ def test_trace_rows_cached_per_coefficient_bit():
     for _ in range(200):
         l_polynomial(random_curve(rng, 5, 4))
     assert _trace_row.cache_info().currsize <= 5 * 4 * 5
+
+
+LEADER_CASES = [(a, am) for am in range(1, 13) for a in range(1, am + 1) if am % a == 0]
+
+
+@pytest.mark.parametrize("a, am", [*LEADER_CASES, (2, 20), (5, 20)])
+def test_orbit_leaders(a, am):
+    # every orbit of j -> 2^a j mod 2^am - 1 once, by its least member,
+    # in the segment of its exact size
+    n = (1 << am) - 1
+    m = am // a
+    orbits = _orbit_leaders(a, am)
+    segments = list(orbits.segments())
+    assert sum(s * len(lead) for s, lead in segments) == n
+    assert [s for s, _ in segments] == sorted({s for s, _ in segments})
+    for s, lead in segments:
+        assert m % s == 0
+        j = lead.astype(np.int64)
+        assert (np.diff(j) > 0).all()
+        orbit = [j]
+        for _ in range(s):
+            orbit.append(orbit[-1] * (1 << a) % n)
+        assert (orbit[s] == j).all()
+        assert all((step > j).all() for step in orbit[1:s])
+    # the bits of the padding slots are cleared
+    assert sum(int(w).bit_count() for w in orbits.mask) == sum(orbits.counts)
 
 
 def test_l_polynomial_full_mode_consistency():
