@@ -141,7 +141,7 @@ def cmd_density(args) -> int:
 
 def cmd_minimal(args) -> int:
     D = _exponent_set(args)
-    sols = minimal_irreducible_solutions(D, target=args.target, max_weight=args.max_weight)
+    sols = minimal_irreducible_solutions(D, target=args.target)
     _emit(
         {
             "set": ",".join(str(e) for e in D),
@@ -328,8 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimal", help="minimal irreducible solutions")
     _add_set_args(p)
-    p.add_argument("--target", type=_frac_arg, default=None, help="density to enumerate at")
-    p.add_argument("--max-weight", type=int, default=5)
+    p.add_argument(
+        "--target",
+        type=_frac_arg,
+        default=None,
+        help="density to enumerate at (default: the density); it must not lie below the "
+        "density, and only as far above it as no solution can spend more than the "
+        "fewest exponents on a column",
+    )
     p.set_defaults(func=cmd_minimal)
 
     p = sub.add_parser("vss", help="stable-image first-vertex prediction")

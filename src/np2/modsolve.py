@@ -4,28 +4,29 @@ A solution over a set D of odd exponents assigns to each d in D a digit
 u_d in [0, 2^l - 1].  Its weight is the total number of ones in the
 binary expansions of the u_d, its density is weight / l, and rotating
 every u_d by one bit (doubling mod 2^l - 1) yields another solution.
-The support function
-
-    phi(k) = sum_d d * delta^k(u_d) / (2^l - 1)
-
-takes positive integer values with phi(k+1) <= 2 phi(k) cyclically, and
-a solution is irreducible exactly when phi is injective.  The minimum
-density over all lengths governs the first slope of the Newton polygons
-computed elsewhere in this package; this module finds that minimum with
-a proof of global minimality, or refuses, and enumerates all
-irreducible solutions attaining it.
+The support function phi(k) = sum_d d * delta^k(u_d) / (2^l - 1) takes
+positive integer values with phi(k+1) = 2 phi(k) - c_k cyclically, where
+c_k sums the exponents with a one in column l - 1 - k.  So solutions are
+closed walks in the support graph, whose step u -> 2u - c costs the
+fewest distinct exponents summing to c (c = 0 is free), and irreducible
+solutions, those with phi injective, are its simple cycles.  The minimum
+density, which governs the first slope of the Newton polygons computed
+elsewhere in this package, is the graph's minimum cycle mean: Lawler's
+parametric search proves it with Bellman-Ford, and the simple cycles of
+the edges its potentials leave tight are the irreducible solutions
+attaining it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from math import ceil
+from itertools import product
 
 import numpy as np
 
 SIGMA_LENGTH_CAP = 26
+EDGE_CAP = 1 << 21
 _BFS_CHUNK = 1 << 22
 
 
@@ -219,31 +220,6 @@ def _word_to_solution(word: list[int], D, l: int) -> ModSolution:
     return ModSolution(l, digits)
 
 
-def support_sum_lower_bound(s: int, l: int) -> int:
-    """Least possible value of sum_k phi(k) for an irreducible solution
-    of weight s and length l, regardless of the exponent set."""
-    if s < 1 or l < 1:
-        raise ValueError("weight and length must be positive")
-    if s >= l:
-        return l * (l + 1) // 2
-    q = (l - 1) // s
-    r = l - q * s
-    base = s * (s + 1) // 2 + ((1 << (q - 1)) - 1) * (3 * s * s + s) // 2
-    tail = r * (2 * s + r + 1)
-    if q >= 2:
-        return base + (1 << (q - 2)) * tail
-    if tail % 2:
-        raise AssertionError("tail term must be even")
-    return base + tail // 2
-
-
-def _feasible(w: int, l: int, maxd: int) -> bool:
-    """Whether an irreducible solution of weight w and length l can exist
-    over a set whose largest exponent is maxd: its support values sum to
-    sum_d d * weight(u_d) <= w * maxd."""
-    return support_sum_lower_bound(w, l) <= w * maxd
-
-
 @dataclass(frozen=True)
 class DensityResult:
     """Minimum density over all lengths, with the first witness."""
@@ -251,162 +227,214 @@ class DensityResult:
     value: Fraction
     length: int
     witness: ModSolution
-    sigmas: tuple[tuple[int, int], ...]
+
+
+def _seed(D) -> dict[int, ModSolution]:
+    # minimum-weight solutions at lengths 1..n+1, n = floor(log2(max(D) + 2))
+    n = (D[-1] + 2).bit_length() - 1
+    return {l: min_weight_solution(D, l) for l in range(1, min(n + 1, SIGMA_LENGTH_CAP) + 1)}
+
+
+def _support_bound(lam: Fraction, maxd: int) -> int:
+    """B(lam): the l distinct support values of a simple cycle of mean at
+    most lam sum to at most lam * l * maxd, so l(l + 1)/2 <= lam * l * maxd
+    and none exceeds floor(lam * l * maxd) - l(l - 1)/2."""
+    p, q = lam.numerator * maxd, lam.denominator
+    return max((p * l // q - l * (l - 1) // 2 for l in range(1, 2 * p // q)), default=0)
+
+
+def _edges(D, bound: int, lam: Fraction):
+    """The support graph on the states 1..bound as flat arrays src, dst and
+    cost, sorted by dst, with the fewest exponents per c from a 0/1
+    min-count knapsack."""
+    fewest = np.full(min(2 * bound, sum(D) + 1), len(D) + 1)
+    fewest[0] = 0
+    for d in D:
+        fewest[d:] = np.minimum(fewest[d:], fewest[:-d] + 1)
+    c = np.flatnonzero(fewest <= len(D))
+    # the edges into v come from (v + c) / 2 for each c of v's parity up to 2 bound - v
+    total = int(((np.minimum(bound, 2 * bound - c) + c % 2) // 2).sum())
+    if total > EDGE_CAP:
+        raise ValueError(
+            f"the support graph of {D} up to density {lam} has {total} edges on the "
+            f"states 1..{bound}, more than {EDGE_CAP}"
+        )
+    v = np.arange(1, bound + 1)
+    parity = [c[c % 2 == 0], c[c % 2 == 1]]
+    count = np.where(v % 2, *(np.searchsorted(cp, 2 * bound - v, "right") for cp in parity[::-1]))
+    first = np.where(v % 2, parity[0].size, 0) - np.cumsum(count) + count
+    col = np.concatenate(parity)[np.repeat(first, count) + np.arange(total)]
+    dst = np.repeat(v, count)
+    return (dst + col) // 2, dst, fewest[col]
+
+
+def _bellman_ford(src, dst, w, bound: int):
+    """Potentials p with p[v] <= p[u] + w for every edge u -> v, or the
+    edges of a cycle of the predecessor graph, which is negative."""
+    n = len(src)
+    ends = np.searchsorted(dst, np.arange(1, bound + 2))
+    into = np.flatnonzero(ends[1:] > ends[:-1]) + 1
+    # distances are kept times n, so the least key into a state also names its edge
+    key = w * n + np.arange(n)
+    dist = np.zeros(bound + 1, dtype=np.int64)
+    pred = np.full(bound + 1, -1)
+    for rounds in range(1, bound + 3):
+        best = np.minimum.reduceat(dist[src] + key, ends[into - 1])
+        better = best < dist[into]
+        if not better.any():
+            return dist // n
+        best, at = best[better], into[better]
+        pred[at] = best % n
+        dist[at] = best - pred[at]
+        # the look for a cycle costs about a round of a small graph, so it runs
+        # every fourth round and at the last; a walk of 2^k > bound steps back
+        # along pred that stays in the graph ends on a cycle
+        if rounds % 4 and rounds <= bound:
+            continue
+        hop = np.where(pred >= 0, src[pred], 0)
+        for _ in range(bound.bit_length() + 1):
+            hop = hop[hop]
+        if hop.any():
+            on = int(hop.max())
+            cycle = [int(pred[on])]
+            while src[cycle[-1]] != on:
+                cycle.append(int(pred[src[cycle[-1]]]))
+            return cycle
+    raise AssertionError("Bellman-Ford did not settle")
+
+
+def _proven(D, lam: Fraction, top: Fraction = Fraction(0)):
+    """Lower lam to the minimum cycle mean; returns it with the edges on the
+    states 1..B(max(lam, top)) and the potentials that prove it there."""
+    while True:
+        bound = _support_bound(max(lam, top), D[-1])
+        src, dst, cost = _edges(D, bound, max(lam, top))
+        found = _bellman_ford(src, dst, lam.denominator * cost - lam.numerator, bound)
+        if isinstance(found, np.ndarray):
+            return lam, (src, dst, cost), found
+        mean = Fraction(int(cost[found].sum()), len(found))
+        if mean >= lam:
+            raise AssertionError("a predecessor cycle of no lower mean")
+        lam = mean
+
+
+def _cycles(D, lam0: Fraction, target: Fraction | None):
+    """The minimum density lam and the simple cycles of mean target (lam by
+    default), each as its states from the least one and its edge costs.
+
+    A cycle of mean target and length l has reduced costs summing to
+    l * slack / target.denominator, and a column with one more exponent than
+    the fewest adds lam.denominator to them.  A target is refused where that
+    fits, as such columns are not enumerated.
+    """
+    lam, edges, pot = _proven(D, lam0)
+    t = lam if target is None else target
+    den, slack = t.denominator, lam.denominator * t.numerator - lam.numerator * t.denominator
+    longest = int(2 * t * D[-1]) - 1
+    if slack < 0:
+        raise ValueError(f"no solution has density {t}: the density of {D} is {lam}")
+    if longest * slack >= lam.denominator * den:
+        raise ValueError(
+            f"target {t} lies too far above the density {lam} of {D}: its solutions "
+            f"may spend more than the fewest exponents on a column"
+        )
+    if t > lam:
+        lam, edges, pot = _proven(D, lam, t)
+    src, dst, cost = edges
+
+    def walk():
+        reduced = lam.denominator * cost - lam.numerator + pot[src] - pot[dst]
+        out: dict[int, dict] = {}
+        into: dict[int, list] = {}
+        for e in np.flatnonzero(den * reduced <= longest * slack).tolist():
+            out.setdefault(int(src[e]), {})[int(dst[e])] = (int(reduced[e]), int(cost[e]))
+            into.setdefault(int(dst[e]), []).append(int(src[e]))
+        for s in sorted(out):
+            # the states above s that lead back to s, with their fewest steps there
+            steps, level, k = {s: 0}, {s}, 0
+            while level:
+                k += 1
+                level = {u for v in level for u in into.get(v, ()) if u > s and u not in steps}
+                steps.update(dict.fromkeys(level, k))
+            path, stack = [(s, 0, 0)], [iter(out[s].items())]
+            while stack:
+                for v, (r, c) in stack[-1]:
+                    red = path[-1][2] + r
+                    if v == s:
+                        if den * red == len(path) * slack:
+                            yield [p[0] for p in path], [p[1] for p in path[1:]] + [c]
+                    elif (
+                        v in steps
+                        and len(path) + steps[v] <= longest
+                        and den * red <= longest * slack
+                        and all(v != p[0] for p in path)
+                    ):
+                        path.append((v, c, red))
+                        stack.append(iter(out[v].items()))
+                        break
+                else:
+                    stack.pop()
+                    path.pop()
+
+    return lam, walk()
 
 
 def density(D) -> DensityResult:
-    """Minimum of sigma(D, l) / l over all lengths l, proven global.
-
-    Any solution splits into irreducible ones of no larger density, and
-    an irreducible solution's support values are distinct and positive,
-    so they sum to at least l(l+1)/2 and to at most w * max(D).  Once a
-    running minimum best is known, a length where no weight w < best * l
-    is _feasible cannot beat it, and no length with l + 1 >= 2 * best *
-    max(D) can.  The search skips the first kind and stops at the second.
-    Raises ValueError when a length it cannot skip lies past the horizon
-    min(5n + 5, SIGMA_LENGTH_CAP), n = floor(log2(max(D) + 2)).
+    """Minimum of sigma(D, l) / l over all lengths l, proven global, with
+    the first length that attains it, the shortest tight cycle, and
+    min_weight_solution's witness there.  Raises ValueError when that
+    length passes SIGMA_LENGTH_CAP or the graph would pass EDGE_CAP edges.
     """
     D = _normalize_set(D)
-    maxd = D[-1]
-    n = (maxd + 2).bit_length() - 1
-    horizon = min(5 * n + 5, SIGMA_LENGTH_CAP)
-    best: tuple[Fraction, int, ModSolution] | None = None
-    sigmas = []
-    for l in count(1):
-        if best is not None:
-            if l + 1 >= 2 * best[0] * maxd:
-                break
-            if not any(_feasible(w, l, maxd) for w in range(1, ceil(best[0] * l))):
-                continue
-        if l > horizon:
-            raise ValueError(
-                f"density of {D} not proven minimal: length {l} lies past the horizon "
-                f"{horizon}; {best[0]} is only an upper bound"
-            )
-        sol = min_weight_solution(D, l)
-        sigmas.append((l, sol.weight))
-        val = Fraction(sol.weight, l)
-        if best is None or val < best[0]:
-            best = (val, l, sol)
-    value, at, witness = best
-    return DensityResult(value, at, witness, tuple(sigmas))
+    seen = _seed(D)
+    lam, cycles = _cycles(D, min(s.density for s in seen.values()), None)
+    # the seed searched every length up to its longest, so one of them that
+    # attains lam is the first; otherwise the shortest tight cycle is
+    attained = [l for l, s in seen.items() if s.density == lam]
+    length = attained[0] if attained else min(len(phi) for phi, _ in cycles)
+    if length > SIGMA_LENGTH_CAP:
+        raise ValueError(
+            f"the density of {D} is {lam}, first attained at length {length}, past "
+            f"the witness cap {SIGMA_LENGTH_CAP}"
+        )
+    witness = seen.get(length) or min_weight_solution(D, length)
+    if witness.density != lam:
+        raise AssertionError("the search and the shortest tight cycle disagree")
+    return DensityResult(lam, length, witness)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _subsets_in_range(D, size: int, lo: int, hi: int, start: int = 0):
-    """Subsets of D[start:] of the given size with sum in [lo, hi]."""
-    if hi < lo or size > len(D) - start:
-        return
+def _subsets(D, c: int, size: int, start: int = 0):
+    """The sets of `size` distinct exponents of D[start:] summing to c."""
     if size == 0:
-        if lo <= 0 <= hi:
-            yield (), 0
+        if c == 0:
+            yield ()
         return
-    for i in range(start, len(D) - size + 1):
-        d = D[i]
-        rest_min = sum(D[i + 1 : i + size])
-        rest_max = sum(D[-(size - 1) :]) if size > 1 else 0
-        if d + rest_min > hi:
+    for i in range(start, len(D)):
+        if D[i] > c:
             break
-        if d + rest_max < lo:
-            continue
-        for sub, s in _subsets_in_range(D, size - 1, lo - d, hi - d, i + 1):
-            yield (d,) + sub, d + s
+        for rest in _subsets(D, c - D[i], size - 1, i + 1):
+            yield (D[i],) + rest
 
 
-def minimal_irreducible_solutions(D, target: Fraction | None = None, max_weight: int = 5):
-    """All irreducible solutions of minimum density, one per shift class.
-
-    Candidates have weight k w0 and length k l0 with target = w0 / l0 in
-    lowest terms; each is assembled from its support chain, which
-    doubles along runs and drops by a set of exponents at each jump.
-    """
+def minimal_irreducible_solutions(D, target: Fraction | None = None) -> list[ModSolution]:
+    """All irreducible solutions of density target (by default the minimum
+    density), one per shift class, sorted by length and digits."""
     D = _normalize_set(D)
-    maxd = D[-1]
-    if target is None:
-        target = density(D).value
-    if target <= 0:
+    if target is not None and target <= 0:
         raise ValueError(f"target density {target} is not positive")
-    w0, l0 = target.numerator, target.denominator
+    lam, cycles = _cycles(D, min(s.density for s in _seed(D).values()), target)
     found: dict[tuple, ModSolution] = {}
-    k = 1
-    while k * w0 <= max_weight:
-        w, l = k * w0, k * l0
-        if _feasible(w, l, maxd):
-            for sol in _enumerate_exact(D, w, l):
-                can = sol.canonical()
-                found.setdefault(can.digits, can)
-        k += 1
-    while True:
-        w, l = k * w0, k * l0
-        if l * (l + 1) // 2 > w * maxd:
-            break
-        if _feasible(w, l, maxd):
-            raise ValueError(
-                f"solutions of weight {w} cannot be ruled out; raise max_weight"
-            )
-        k += 1
-    out = sorted(found.values(), key=lambda s: (s.length, s.digits))
-    for sol in out:
-        if not (sol.density == target and sol.is_irreducible()):
-            raise AssertionError("enumerated solution fails validation")
-    return out
-
-
-def _enumerate_exact(D, w: int, l: int):
-    """Irreducible solutions of weight exactly w and length exactly l."""
-    cap = w * D[-1]
-    for j in range(1, w + 1):
-        for sizes in _compositions(w, j):
-            for runs in _compositions(l, j):
-                pref = [0]
-                for r in runs:
-                    pref.append(pref[-1] + r)
-                yield from _chain_dfs(D, l, cap, sizes, runs, pref)
-
-
-def _chain_dfs(D, l, cap, sizes, runs, pref):
-    j = len(runs)
-
-    def rec(i, n, n1, seen, total, bits):
-        top = n << (runs[i] - 1)
-        vals = [n << t for t in range(runs[i])]
-        ntotal = total + sum(vals)
-        if ntotal > cap or any(v in seen for v in vals):
-            return
-        nseen = seen | set(vals)
-        rpos = l - 1 - (pref[i + 1] - 1)
-        if i == j - 1:
-            c = 2 * top - n1
-            for sub, _ in _subsets_in_range(D, sizes[i], c, c):
-                yield bits + [(d, rpos) for d in sub], nseen
-            return
-        nxt_limit = cap >> (runs[i + 1] - 1)
-        lo = 2 * top - nxt_limit
-        hi = 2 * top - 1
-        for sub, c in _subsets_in_range(D, sizes[i], lo, hi):
-            n_next = 2 * top - c
-            if n_next in nseen:
-                continue
-            yield from rec(
-                i + 1, n_next, n1, nseen, ntotal, bits + [(d, rpos) for d in sub]
-            )
-
-    for n1 in range(1, (cap >> (runs[0] - 1)) + 1):
-        for bits, phi_vals in rec(0, n1, n1, frozenset(), 0, []):
+    for phi, sizes in cycles:
+        l = len(phi)
+        cols = [list(_subsets(D, 2 * phi[k] - phi[(k + 1) % l], sizes[k])) for k in range(l)]
+        for pick in product(*cols):
             digits: dict[int, int] = {}
-            for d, r in bits:
-                if digits.get(d, 0) >> r & 1:
-                    raise AssertionError("duplicate bit in chain assembly")
-                digits[d] = digits.get(d, 0) | (1 << r)
+            for k, sub in enumerate(pick):
+                for d in sub:
+                    digits[d] = digits.get(d, 0) | 1 << (l - 1 - k)
             sol = ModSolution(l, tuple(sorted(digits.items())))
-            if set(sol.support()) != phi_vals:
-                raise AssertionError("support does not match the chain")
-            yield sol
+            if sol.support() != tuple(phi) or sol.density != (target or lam):
+                raise AssertionError("a solution does not match its cycle")
+            can = sol.canonical()
+            found[can.digits] = can
+    return sorted(found.values(), key=lambda s: (s.length, s.digits))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -66,6 +67,35 @@ def test_density_subcommand(capsys):
     assert obj["value"] == "1/3"
 
 
+@pytest.mark.parametrize(
+    "argv, value, length, witness",
+    [
+        # the length loop ran the search up to length 26 here and then refused
+        (["--set", "3,47"], "3/8", 16, "3:1,47:19521"),
+        (["--set", "49"], "1/3", 3, "49:1"),
+        (["--set", "9,61"], "5/14", 14, "9:1,61:537"),
+        (["--set", "125"], "1/2", 4, "125:3"),
+    ],
+)
+def test_density_of_sets_off_the_windows(capsys, argv, value, length, witness):
+    t0 = time.perf_counter()
+    code, obj = run_json(capsys, ["density"] + argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert (obj["value"], obj["length"]) == (value, length)
+    assert obj["witness"] == {"digits": witness, "length": length}
+
+
+def test_density_first_attained_past_the_witness_cap(capsys):
+    # 61 divides 2^l - 1 only for 60 | l, so every solution of density 1/2
+    # has a length divisible by 60
+    t0 = time.perf_counter()
+    assert main(["density", "--set", "61"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "is 1/2, first attained at length 60, past the witness cap 26" in err
+
+
 def test_minimal_subcommand(capsys):
     code, obj = run_json(
         capsys, ["minimal", "--max", "29", "--exclude", "15", "--target", "2/7"]
@@ -98,14 +128,15 @@ def test_spec_error_exit_codes(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["minimal", "--max", "29", "--exclude", "15", "--target", "2/7", "--max-weight", "1"],
+        # a target far above the density 1/5 of this window, where columns
+        # with more than the fewest exponents could fit
+        ["minimal", "--max", "61", "--exclude", "31", "--target", "1/2"],
         # refused with the length cap lowered to 2: 1/3 sits at length 3
         ["density", "--max", "13"],
         # past the field table cap: extension degrees 23, 24 and 24
         ["np", "--q", "2", "--coeffs", "47:1"],
         ["zeta", "--q", "2", "--coeffs", "25:1", "--full"],
         ["sweep", "--q", "4", "--g", "12", "--random", "--count", "1"],
-        # a target that is not positive would never reach max_weight
         ["minimal", "--set", "1,3", "--target", "0/1"],
         ["minimal", "--set", "1,3", "--target=-1/2"],
     ],
@@ -116,7 +147,9 @@ def test_unsatisfiable_request_exits_3(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(np2.zeta, "exponential_sum", no_sums)
     monkeypatch.setattr(np2.modsolve, "SIGMA_LENGTH_CAP", 2)
+    t0 = time.perf_counter()
     assert main(argv) == 3
+    assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

@@ -13,11 +13,11 @@ from np2.modsolve import (
     ModSolution,
     _bfs_distances,
     _moves,
+    _support_bound,
     density,
     min_weight_solution,
     minimal_irreducible_solutions,
     odds_up_to,
-    support_sum_lower_bound,
 )
 
 
@@ -225,6 +225,24 @@ def test_sigma_length_cap():
         min_weight_solution((7,), 0)
 
 
+def support_sum_lower_bound(s: int, l: int) -> int:
+    """Least possible value of sum_k phi(k) for an irreducible solution
+    of weight s and length l, regardless of the exponent set."""
+    if s < 1 or l < 1:
+        raise ValueError("weight and length must be positive")
+    if s >= l:
+        return l * (l + 1) // 2
+    q = (l - 1) // s
+    r = l - q * s
+    base = s * (s + 1) // 2 + ((1 << (q - 1)) - 1) * (3 * s * s + s) // 2
+    tail = r * (2 * s + r + 1)
+    if q >= 2:
+        return base + (1 << (q - 2)) * tail
+    if tail % 2:
+        raise AssertionError("tail term must be even")
+    return base + tail // 2
+
+
 def test_lower_bound_frozen_values():
     assert support_sum_lower_bound(1, 3) == 7
     assert support_sum_lower_bound(2, 6) == 24
@@ -247,8 +265,8 @@ def test_lower_bound_boundary_and_monotone():
 
 
 def test_lower_bound_dominates_distinct_supports():
-    # density() stops and skips lengths on both facts: the bound is at
-    # least 1 + 2 + ... + l, the least sum of l distinct positive values,
+    # reference_density stops and skips lengths on both facts: the bound is
+    # at least 1 + 2 + ... + l, the least sum of l distinct positive values,
     # and it never falls as l grows
     for w in range(1, 200):
         prev = 0
@@ -271,7 +289,7 @@ def test_density_frozen_n3():
     assert r.value == Fraction(1, 3)
     assert r.length == 3
     assert r.witness.digits == ((7, 1),)
-    assert dict(r.sigmas)[3] == 1
+    assert min_weight_solution(odds_up_to(13), 3).weight == 1
 
 
 def test_density_single_exponent():
@@ -279,13 +297,20 @@ def test_density_single_exponent():
     assert r.value == 1 and r.length == 1
 
 
-def test_density_uncertified_when_horizon_too_short(monkeypatch):
-    # 1/3 at length 3 cannot be ruled out with lengths 1 and 2 alone
+def test_density_refused_past_the_witness_cap(monkeypatch):
+    # 1/3 is proven, but its first length 3 has no witness under a cap of 2
     monkeypatch.setattr(np2.modsolve, "SIGMA_LENGTH_CAP", 2)
-    with pytest.raises(
-        ValueError, match="length 3 lies past the horizon 2; 1/2 is only an upper bound"
-    ):
+    with pytest.raises(ValueError, match="is 1/3, first attained at length 3, past the witness cap 2"):
         density(odds_up_to(13))
+
+
+def test_support_graph_refused_past_the_edge_cap(monkeypatch):
+    # about 29 million edges; the refusal comes before any of them is built
+    with pytest.raises(ValueError, match=r"up to density 1/9 has \d{8} edges on the states 1\.\.6240,"):
+        density(odds_up_to(1001))
+    monkeypatch.setattr(np2.modsolve, "EDGE_CAP", 10)
+    with pytest.raises(ValueError, match="more than 10$"):
+        minimal_irreducible_solutions(odds_up_to(13))
 
 
 @pytest.mark.parametrize("top, value", [(23, Fraction(2, 7)), (29, Fraction(1, 4))])
@@ -304,9 +329,10 @@ def test_density_searches_each_length_once(monkeypatch, top, value):
 
 
 def reference_density(D):
-    """density() with the certificate as a separate pass over every weight
-    below 2 max(D), as it was before the certificate joined the search;
-    the last field says whether the value is certified."""
+    """The minimum density by the length loop: min_weight_solution at every
+    length the support-sum bound cannot skip, with the certificate as a
+    separate pass over every weight below 2 max(D); the last field says
+    whether the value is certified."""
     maxd = max(D)
     n = (maxd + 2).bit_length() - 1
     l_max = 5 * n + 5
@@ -356,21 +382,51 @@ def reference_max_feasible_length(w, maxd):
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 13, 20, SIGMA_LENGTH_CAP])
 def test_density_matches_separate_certificate(monkeypatch, cap):
-    # a low cap leaves lengths that cannot be skipped past it, and there
-    # density must refuse; both sides share one memo of the per-length
-    # search, which is not compared here
+    # the support graph against the length loop under the same cap on the
+    # lengths searched: a lower cap leaves the density and its first length
+    # as they are and refuses exactly where that length passes the cap, and
+    # where the loop certifies its value the two agree on the value, the
+    # first length and the witness. Both sides share one memo of the
+    # per-length search.
+    sets = PAPER_SETS + [odds_up_to(d) for d in range(1, 64, 2)]
+    full = {D: density(D) for D in sets}
     monkeypatch.setattr(np2.modsolve, "SIGMA_LENGTH_CAP", cap)
     monkeypatch.setattr(
         np2.modsolve, "min_weight_solution", lru_cache(None)(min_weight_solution)
     )
-    for D in PAPER_SETS + [odds_up_to(d) for d in range(1, 64, 2)]:
+    for D in sets:
         *want, certified = reference_density(D)
-        if certified:
-            r = density(D)
-            assert [r.value, r.length, r.witness] == want, D
-        else:
-            with pytest.raises(ValueError, match=f" {want[0]} is only an upper bound"):
+        if full[D].length > cap:
+            with pytest.raises(ValueError, match=f"length {full[D].length}, past the witness cap {cap}$"):
                 density(D)
+            continue
+        r = density(D)
+        assert r == full[D], D
+        if certified:
+            assert [r.value, r.length, r.witness] == want, D
+
+
+def test_minimal_solution_above_the_largest_exponent():
+    # the length-9 class of (55, 59) reaches the support value 64, so a
+    # graph on the states 1..max(D) alone would miss it and its length
+    sols = minimal_irreducible_solutions((55, 59))
+    assert [(s.length, s.digits) for s in sols] == [
+        (9, ((55, 5), (59, 4))),
+        (21, ((55, 3), (59, 106632))),
+    ]
+    assert max(sols[0].support()) == 64
+    assert sols[:1] == exhaustive_irreducible_classes((55, 59), 9, 3)
+    assert density((55, 59)).length == 9
+
+
+def test_support_bound_holds_for_placed_solutions():
+    # every irreducible solution found by exhaustive placement stays on the
+    # states 1..B(its density); the graph needs no state above that
+    sets = [odds_up_to(13), odds_up_to(13, (7,)), (3, 47), (1, 5, 9), odds_up_to(21, (15,))]
+    for D in sets:
+        for l, w in ((3, 1), (4, 1), (4, 2), (5, 2), (6, 2), (7, 2), (6, 3)):
+            for sol in exhaustive_irreducible_classes(D, l, w):
+                assert max(sol.support()) <= _support_bound(Fraction(w, l), max(D)), (D, sol)
 
 
 def test_density_spot_values():
@@ -469,8 +525,10 @@ def test_weight_three_families():
 
 
 def test_weight_three_family_counts():
+    # targets above the densities 1/4 and 1/5 of these windows
     D4 = odds_up_to(29, (15,))
-    assert len(minimal_irreducible_solutions(D4, target=Fraction(3, 10))) == 4
+    sols = minimal_irreducible_solutions(D4, target=Fraction(3, 10))
+    assert len(sols) == 4 and sols == exhaustive_irreducible_classes(D4, 10, 3)
     D5 = odds_up_to(61, (31,))
     assert len(minimal_irreducible_solutions(D5, target=Fraction(3, 13))) == 4
 
@@ -492,12 +550,25 @@ def test_extra_classes_below_threshold():
 
 
 def test_enumerator_matches_exhaustive_placement():
-    # structured chain search vs trying every digit placement
+    # tight cycles of the support graph vs trying every digit placement
     for d, ex, l, w in ((19, (15,), 6, 2), (19, (15,), 9, 3), (21, (15,), 6, 2)):
         D = odds_up_to(d, ex)
         sols = minimal_irreducible_solutions(D, target=Fraction(w, l))
         at_l = [s for s in sols if s.length == l]
         assert at_l == exhaustive_irreducible_classes(D, l, w)
+
+
+@pytest.mark.parametrize("d", range(1, 30, 2))
+def test_minimal_solutions_match_exhaustive_placement(d):
+    # at the density, every length placement can reach within its budget
+    for D in {odds_up_to(d), odds_up_to(d, (max(1, d - 2),)) or (d,)}:
+        lam = density(D).value
+        sols = minimal_irreducible_solutions(D)
+        for k in range(1, 4):
+            l, w = k * lam.denominator, k * lam.numerator
+            if l > 12 or len(D) * l > 60 or w > 3:
+                break
+            assert [s for s in sols if s.length == l] == exhaustive_irreducible_classes(D, l, w), D
 
 
 def test_minimal_solutions_all_validate():
@@ -514,6 +585,14 @@ def test_minimal_solutions_all_validate():
 
 @pytest.mark.parametrize("target", [Fraction(0), Fraction(-1, 2)])
 def test_nonpositive_target_rejected(target):
-    # the weight loop k * w0 <= max_weight would never end
     with pytest.raises(ValueError, match="not positive"):
         minimal_irreducible_solutions((1, 3), target=target)
+
+
+def test_targets_off_the_density_refused():
+    D5 = odds_up_to(61, (31,))
+    with pytest.raises(ValueError, match="no solution has density 1/6: the density of .* is 1/5"):
+        minimal_irreducible_solutions(D5, target=Fraction(1, 6))
+    # at 1/2 a cycle could spend a sixth exponent on a column
+    with pytest.raises(ValueError, match="target 1/2 lies too far above the density 1/5"):
+        minimal_irreducible_solutions(D5, target=Fraction(1, 2))

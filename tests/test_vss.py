@@ -396,13 +396,17 @@ def test_oracle_agreement_random_f4():
 
 
 def test_uncertified_density_raises(monkeypatch):
+    # the rank route needs no witness, so the support graph's edge cap is
+    # what it can refuse for
+    monkeypatch.setattr(np2.modsolve, "EDGE_CAP", 2)
     # past the lru cache, which may already hold this set from another test
-    monkeypatch.setattr(np2.modsolve, "SIGMA_LENGTH_CAP", 2)
     monkeypatch.setattr(np2.vss, "_frame", np2.vss._frame.__wrapped__)
     # a refusal leaves nothing behind that a second call could reuse
     for _ in range(2):
-        with pytest.raises(ValueError, match="not proven minimal"):
+        with pytest.raises(ValueError, match=r"has 12 edges on the states 1\.\.4, more than 2"):
             vss_report(curve(1, {7: 1}))
+    monkeypatch.undo()
+    assert vss_report(curve(1, {7: 1})).dim == 3
 
 
 def reuse_samples():
