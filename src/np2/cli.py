@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale when a parser is built: load it here, not in a command's run
+import locale  # noqa: F401
 import sys
 from contextlib import ExitStack
 from dataclasses import asdict

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .field import make_ctx
 from .zeta import CurvePoly
@@ -125,3 +126,14 @@ def classify(f: CurvePoly) -> TheoremCase:
             return TheoremCase(case_id, n, 0, None, True, slope)
     return TheoremCase("out-of-ladder", n, 0, None, True)
 
+
+
+def read_exponents(genus: int) -> tuple[int, ...]:
+    """The exponents whose coefficients classify reads at this genus.  A
+    probe curve that reads 0 everywhere fails both T1 tests and reaches
+    its ladder row, whose value has no branches, so it reads them all."""
+    read = set()
+    deg = 2 * genus + 1
+    probe = SimpleNamespace(field_degree=1, genus=genus, deg=deg, coeff=lambda e: read.add(e) or 0)
+    classify(probe)
+    return tuple(sorted(e for e in read if e <= deg))  # past deg, c_e = 0 on every curve

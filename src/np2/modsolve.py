@@ -45,6 +45,13 @@ def _normalize_set(D) -> tuple[int, ...]:
     return out
 
 
+def _set_str(D) -> str:
+    """D for a message; past 8 exponents, its ends, size and range."""
+    if len(D) <= 8:
+        return str(D)
+    return f"({str(D[:3])[1:-1]}, ..., {str(D[-3:])[1:-1]}; {len(D)} exponents in {D[0]}..{D[-1]})"
+
+
 def _rotl(u: int, l: int) -> int:
     return ((u << 1) | (u >> (l - 1))) & ((1 << l) - 1)
 
@@ -256,7 +263,7 @@ def _edges(D, bound: int, lam: Fraction):
     total = int(((np.minimum(bound, 2 * bound - c) + c % 2) // 2).sum())
     if total > EDGE_CAP:
         raise ValueError(
-            f"the support graph of {D} up to density {lam} has {total} edges on the "
+            f"the support graph of {_set_str(D)} up to density {lam} has {total} edges on the "
             f"states 1..{bound}, more than {EDGE_CAP}"
         )
     v = np.arange(1, bound + 1)
@@ -332,10 +339,10 @@ def _cycles(D, lam0: Fraction, target: Fraction | None):
     den, slack = t.denominator, lam.denominator * t.numerator - lam.numerator * t.denominator
     longest = int(2 * t * D[-1]) - 1
     if slack < 0:
-        raise ValueError(f"no solution has density {t}: the density of {D} is {lam}")
+        raise ValueError(f"no solution has density {t}: the density of {_set_str(D)} is {lam}")
     if longest * slack >= lam.denominator * den:
         raise ValueError(
-            f"target {t} lies too far above the density {lam} of {D}: its solutions "
+            f"target {t} lies too far above the density {lam} of {_set_str(D)}: its solutions "
             f"may spend more than the fewest exponents on a column"
         )
     if t > lam:
@@ -394,7 +401,7 @@ def density(D) -> DensityResult:
     length = attained[0] if attained else min(len(phi) for phi, _ in cycles)
     if length > SIGMA_LENGTH_CAP:
         raise ValueError(
-            f"the density of {D} is {lam}, first attained at length {length}, past "
+            f"the density of {_set_str(D)} is {lam}, first attained at length {length}, past "
             f"the witness cap {SIGMA_LENGTH_CAP}"
         )
     witness = seen.get(length) or min_weight_solution(D, length)

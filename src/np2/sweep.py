@@ -1,15 +1,13 @@
 """Sweep harness: run the predictor routes over curve families and
 serialize one verdict per curve.
 
-Sweeps are deterministic: iter_curves alone decides report order.
-Exhaustive families come out in encoding order as they are enumerated;
-random families pre-draw all curves from a seed (random_draws) and come
-out sorted by encoding.  Records keep that order, serially and in
-parallel, so both produce byte-identical reports.  A route with a family
-entry point evaluates the whole family once, in the calling process, and
-each record's elapsed time carries an equal share of that work.  Timing
-is kept out of the serialized forms by default so report digests are
-stable.
+Sweeps are deterministic: the dense coefficient rows (dense_rows) alone
+decide report order.  Exhaustive families come out in encoding order as
+they are enumerated; random families pre-draw all curves from a seed
+(random_draws) and come out sorted by encoding.  Every route evaluates
+a whole family at once, in the calling process, and each record's
+elapsed time is an equal share of that work.  Timing is kept out of the
+serialized forms by default so report digests are stable.
 """
 
 from __future__ import annotations
@@ -17,18 +15,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product, repeat
-from operator import attrgetter
+from itertools import combinations, product
+from operator import attrgetter, itemgetter
 from random import Random
 from typing import Callable
 
-from .hasse import MIN_GENUS, classify
-from .vss import predict_first_vertex
+from .hasse import MIN_GENUS, classify, read_exponents
+from .vss import predict_first_vertex, rank_keys
 from .zeta import (
     CurvePoly,
     check_extension_degree,
@@ -47,17 +44,16 @@ class Route:
 
     run(f) returns the values of fields in order; vertex names the field
     that holds the first vertex, None where the route gives no verdict.
-    family(spec, draws), where given, returns run's values for every
-    curve of a family at once, exhaustive or random, in iter_curves
-    order; draws are random_draws(spec), None for an exhaustive family.
-    run stays the reference that family is tested against, and the path
-    for a single curve.
+    family(spec, rows) returns run's values for every curve of a family,
+    rows = list(dense_rows(spec)), in report order, equal values as one
+    object (run_sweep keys verdicts by identity).  run stays the
+    reference that family is tested against, and the single-curve path.
     """
 
     fields: tuple[str, ...]
     vertex: str
     run: Callable[[CurvePoly], tuple]
-    family: Callable[[SweepSpec, list[tuple] | None], list[tuple]] | None = None
+    family: Callable[[SweepSpec, list[tuple[int, ...]]], list[tuple]]
 
 
 # The routes look the predictors up in this module when they run, so a
@@ -66,16 +62,22 @@ def _by_counting(f: CurvePoly) -> tuple:
     return (first_vertex(newton_polygon_of_curve(f)),)
 
 
-def _family_by_counting(spec: SweepSpec, draws) -> list[tuple]:
-    if draws is None:
+def _family_by_counting(spec: SweepSpec, rows) -> list[tuple]:
+    if spec.mode == "exhaustive":
         vertices = family_first_vertices(spec.field_degree, spec.genus, spec.fixed)
     else:
-        vertices = curves_first_vertices(spec.field_degree, draws)
-    return [(v,) for v in vertices]
+        vertices = curves_first_vertices(spec.field_degree, rows)
+    # equal vertices come as one object, and so do their values here
+    values = {id(v): (v,) for v in vertices}
+    return [values[id(v)] for v in vertices]
 
 
 def _by_rank(f: CurvePoly) -> tuple:
     return (predict_first_vertex(f),)
+
+
+def _family_by_rank(spec: SweepSpec, rows) -> list[tuple]:
+    return _per_key(_by_rank, spec.field_degree, rows, rank_keys(2 * spec.genus + 1, rows))
 
 
 def _by_case_ladder(f: CurvePoly) -> tuple:
@@ -85,15 +87,35 @@ def _by_case_ladder(f: CurvePoly) -> tuple:
     return (case.case_id, case.vertex, case.large_n_caveat)
 
 
+def _family_by_case_ladder(spec: SweepSpec, rows) -> list[tuple]:
+    # one exponent gives a bare coefficient, which keys as well as a tuple
+    exps = read_exponents(spec.genus) if spec.genus >= MIN_GENUS else ()
+    keys = list(map(itemgetter(*((e - 1) // 2 for e in exps)), rows)) if exps else [()] * len(rows)
+    return _per_key(_by_case_ladder, spec.field_degree, rows, keys)
+
+
+def _per_key(run, field_degree: int, rows, keys) -> list[tuple]:
+    """run's values for every row, run once per distinct key; equal values come as one object."""
+    values, shared = {}, {}
+    for row, key in zip(rows, keys):
+        if key not in values:
+            value = run(CurvePoly(field_degree, _sparse(row)))
+            values[key] = shared.setdefault(value, value)
+    return [values[key] for key in keys]
+
+
 # Every list of routes, record fields and report columns derives from
 # this table.  The first route is the reference that oracle
 # disagreements are counted against; the last is the case ladder that
 # frontier_summary tabulates.
 ROUTES = {
     "oracle": Route(("oracle",), "oracle", _by_counting, _family_by_counting),
-    "vss": Route(("vss",), "vss", _by_rank),
+    "vss": Route(("vss",), "vss", _by_rank, _family_by_rank),
     "hasse": Route(
-        ("hasse_case", "hasse_vertex", "large_n_caveat"), "hasse_vertex", _by_case_ladder
+        ("hasse_case", "hasse_vertex", "large_n_caveat"),
+        "hasse_vertex",
+        _by_case_ladder,
+        _family_by_case_ladder,
     ),
 }
 PREDICTORS = tuple(ROUTES)
@@ -115,7 +137,7 @@ def parse_frac(s: str) -> Fraction:
 
 
 def coeffs_str(coeffs) -> str:
-    return ",".join(f"{e}:{c}" for e, c in coeffs)
+    return ",".join([f"{e}:{c}" for e, c in coeffs])
 
 
 def parse_coeffs(s: str) -> dict[int, int]:
@@ -200,29 +222,30 @@ def random_draws(spec: SweepSpec) -> list[tuple[int, ...]] | None:
     return sorted(draws)
 
 
-def iter_curves(spec: SweepSpec, draws=None):
-    """Curves of the family in report order.
-
-    That is ascending order of the dense coefficient tuple
-    (c_1, c_3, ..., c_{2g+1}); duplicate random draws keep draw order.
-    draws, where given, are random_draws(spec), made once by the caller.
-    """
-    spec.validate()
+def dense_rows(spec: SweepSpec):
+    """The family's dense coefficient tuples (c_1, c_3, ..., c_{2g+1}) in
+    report order, which is ascending: random_draws(spec) for a random
+    family, an iterator over the product for an exhaustive one."""
+    draws = random_draws(spec)  # validates spec
+    if draws is not None:
+        return draws
     q = 1 << spec.field_degree
     deg = 2 * spec.genus + 1
     fixed = dict(spec.fixed)
-    exps = range(1, deg + 1, 2)
-    if spec.mode == "exhaustive":
-        # the lowest exponent varies slowest, so product order is ascending
-        choices = [
-            (fixed[e],) if e in fixed else range(1 if e == deg else 0, q) for e in exps
-        ]
-        dense = product(*choices)
-    else:
-        dense = random_draws(spec) if draws is None else draws
-    top_down = exps[::-1]
-    for values in dense:
-        yield CurvePoly(spec.field_degree, tuple((e, c) for e, c in zip(top_down, values[::-1]) if c))
+    # the lowest exponent varies slowest, so product order is ascending
+    odd = range(1, deg + 1, 2)
+    return product(*((fixed[e],) if e in fixed else range(1 if e == deg else 0, q) for e in odd))
+
+
+def _sparse(row) -> tuple[tuple[int, int], ...]:
+    """CurvePoly coefficients of a dense row: nonzero (exponent, bits), top down."""
+    return tuple([(e, c) for e, c in zip(range(2 * len(row) - 1, 0, -2), row[::-1]) if c])
+
+
+def iter_curves(spec: SweepSpec):
+    """Curves of the family in report order, one per dense_rows(spec) row."""
+    for row in dense_rows(spec):
+        yield CurvePoly(spec.field_degree, _sparse(row))
 
 
 @dataclass(frozen=True)
@@ -250,33 +273,19 @@ def _agree(u, v):
     return u == v
 
 
-def evaluate_curve(f: CurvePoly, predictors=PREDICTORS, batched=None, share=0.0):
-    """The record of f under the routes in predictors.
+def _verdict(values) -> tuple:
+    """The verdict fields: every route's values in ROUTES order, then the agreement flags."""
+    v = sum(values, ())
+    at = dict(zip(VERDICT_FIELDS, v))
+    return v + tuple(_agree(*(at[ROUTES[r].vertex] for r in pair)) for pair in AGREEMENTS.values())
 
-    batched maps a route name to its values for f, computed with the
-    whole family; that route is not run again, and share, the seconds of
-    the family computation charged to f, is added to elapsed.
-    """
-    t0 = time.perf_counter() - share
-    verdicts = {}
-    for name, route in ROUTES.items():
-        if name not in predictors:
-            values = (None,) * len(route.fields)
-        elif batched and name in batched:
-            values = batched[name]
-        else:
-            values = route.run(f)
-        verdicts.update(zip(route.fields, values))
-    for flag, (a, b) in AGREEMENTS.items():
-        verdicts[flag] = _agree(verdicts[ROUTES[a].vertex], verdicts[ROUTES[b].vertex])
-    return VerdictRecord(
-        f.field_degree,
-        f.genus,
-        f.coeffs,
-        tuple(predictors),
-        elapsed=time.perf_counter() - t0,
-        **verdicts,
-    )
+
+def evaluate_curve(f: CurvePoly, predictors=PREDICTORS) -> VerdictRecord:
+    """The record of f under the routes in predictors, one curve at a time."""
+    t0 = time.perf_counter()
+    values = [r.run(f) if n in predictors else (None,) * len(r.fields) for n, r in ROUTES.items()]
+    verdict = (*_verdict(values), time.perf_counter() - t0)  # elapsed last
+    return VerdictRecord(f.field_degree, f.genus, f.coeffs, tuple(predictors), *verdict)
 
 
 @dataclass(frozen=True)
@@ -288,74 +297,58 @@ class SweepSummary:
     absences: int
 
 
+def _distinct(records, fields) -> tuple[list, dict]:
+    """A key per record for its values of fields, and a record per key.
+    The key is the values' identities, as a sweep's records share their
+    verdict objects: no Fraction is hashed per record."""
+    get = attrgetter(*fields)
+    keys = [tuple(map(id, get(r))) for r in records]
+    return keys, dict(zip(keys, records))
+
+
 def summarize(records) -> SweepSummary:
     reference = PREDICTORS[0]
     against_reference = [flag for flag, (a, _) in AGREEMENTS.items() if a == reference]
+    vertices = [route.vertex for route in ROUTES.values()]
+    keys, first = _distinct(records, ("predictors", *AGREEMENTS, *vertices))
     agreements = disagreements = reference_dis = absences = 0
-    for r in records:
+    for key, count in Counter(keys).items():
+        r = first[key]
         flags = [getattr(r, flag) for flag in AGREEMENTS]
         ran = [f for f in flags if f is not None]
         if ran and all(ran):
-            agreements += 1
+            agreements += count
         if any(f is False for f in flags):
-            disagreements += 1
+            disagreements += count
         if any(getattr(r, flag) is False for flag in against_reference):
-            reference_dis += 1
+            reference_dis += count
         if any(
             name in r.predictors and getattr(r, route.vertex) is None
             for name, route in ROUTES.items()
         ):
-            absences += 1
+            absences += count
     return SweepSummary(len(records), agreements, disagreements, reference_dis, absences)
 
 
-def _threads() -> int:
-    """Worker processes: NP2_THREADS clamped to the CPU count; unset or empty is 1."""
-    raw = os.environ.get("NP2_THREADS") or "1"
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"NP2_THREADS must be a positive integer, not {raw!r}")
-    return min(int(raw), os.cpu_count() or 1)
-
-
-def _family_values(spec: SweepSpec, draws):
-    """Per-curve values of the routes with a family entry point, and the
-    seconds charged to each curve: one dict per curve in iter_curves
-    order, or repeat(None) when no such route runs on spec.  draws are
-    random_draws(spec)."""
-    names = [n for n in spec.predictors if ROUTES[n].family]
-    if not names:
-        return repeat(None), 0.0
-    t0 = time.perf_counter()
-    columns = [ROUTES[n].family(spec, draws) for n in names]
-    rows = [dict(zip(names, values)) for values in zip(*columns)]
-    return rows, (time.perf_counter() - t0) / len(rows)
-
-
 def run_sweep(spec: SweepSpec) -> tuple[list[VerdictRecord], SweepSummary]:
-    threads = _threads()
-    # drawn once, validating spec, for the family routes and the records
-    draws = random_draws(spec)
-    # the family transforms run once, here; only per-curve routes go to a pool
-    batched, share = _family_values(spec, draws)
-    if threads == 1:
-        records = [
-            evaluate_curve(f, spec.predictors, b, share)
-            for f, b in zip(iter_curves(spec, draws), batched)
-        ]
-    else:
-        curves = list(iter_curves(spec, draws))
-        chunk = max(1, len(curves) // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(
-                pool.map(
-                    evaluate_curve,
-                    curves,
-                    repeat(spec.predictors),
-                    batched,
-                    repeat(share),
-                    chunksize=chunk,
-                )
-            )
+    """The family's records in report order, and their summary: every
+    route's family entry point runs once, the agreement flags once per
+    distinct verdict, and each record's elapsed is an equal share."""
+    t0 = time.perf_counter()
+    rows = list(dense_rows(spec))
+    columns = [
+        r.family(spec, rows) if n in spec.predictors else [(None,) * len(r.fields)] * len(rows)
+        for n, r in ROUTES.items()
+    ]
+    # equal values come as one object, so, as in _distinct, identities key the verdicts
+    keys = list(zip(*(map(id, column) for column in columns)))
+    verdict_of = {key: _verdict(values) for key, values in dict(zip(keys, zip(*columns))).items()}
+    share = (time.perf_counter() - t0) / len(rows)
+    a, g, predictors = spec.field_degree, spec.genus, spec.predictors
+    records = [
+        VerdictRecord(a, g, _sparse(row), predictors, *verdict, share)
+        for row, verdict in zip(rows, map(verdict_of.__getitem__, keys))
+    ]
     return records, summarize(records)
 
 
@@ -363,8 +356,10 @@ def frontier_summary(records) -> dict[str, dict[str, int]]:
     """Per-case agreement table for the case ladder, the last route."""
     *_, ladder = ROUTES
     judges = {a: flag for flag, (a, b) in AGREEMENTS.items() if b == ladder}
+    keys, first = _distinct(records, ("hasse_case", "hasse_vertex", *judges.values()))
     rows: dict[str, dict[str, int]] = {}
-    for r in records:
+    for key, count in Counter(keys).items():
+        r = first[key]
         if r.hasse_case is None:
             continue
         row = rows.get(r.hasse_case)
@@ -372,14 +367,14 @@ def frontier_summary(records) -> dict[str, dict[str, int]]:
             row = rows[r.hasse_case] = {"records": 0, "fired": 0}
             for a in judges:
                 row[f"{a}_agree"] = row[f"{a}_disagree"] = 0
-        row["records"] += 1
+        row["records"] += count
         if r.hasse_vertex is None:
             continue
-        row["fired"] += 1
+        row["fired"] += count
         for a, flag in judges.items():
             agree = getattr(r, flag)
             if agree is not None:
-                row[f"{a}_agree" if agree else f"{a}_disagree"] += 1
+                row[f"{a}_agree" if agree else f"{a}_disagree"] += count
     return {case: rows[case] for case in sorted(rows)}
 
 
@@ -420,14 +415,30 @@ def _csv_cell(value):
     return value
 
 
-def report_lines(records, format: str, timing: bool = False) -> list[str]:
+def _fragments(rec: VerdictRecord, format: str, timing: bool) -> list[str]:
+    """rec's report line, split where its coefficients go."""
+    row = record_row(rec, timing)
+    row["coeffs"] = hole = "<coeffs>"  # JSON and csv.writer keep it as it is
     if format == "jsonl":
-        return [json.dumps(record_row(r, timing), sort_keys=True) for r in records]
-    if format != "csv":
-        raise ValueError(f"unknown report format {format!r}")
+        return json.dumps(row, sort_keys=True).split(hole)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS + (("elapsed",) if timing else ()))
-    for r in records:
-        writer.writerow([_csv_cell(v) for v in record_row(r, timing).values()])
-    return buf.getvalue().splitlines()
+    csv.writer(buf, lineterminator="").writerow([_csv_cell(v) for v in row.values()])
+    return buf.getvalue().split(hole)
+
+
+def report_lines(records, format: str, timing: bool = False) -> list[str]:
+    """One line per record as record_row renders it, CSV after a header;
+    each distinct verdict is rendered once, around the coefficients."""
+    if format not in ("jsonl", "csv"):
+        raise ValueError(f"unknown report format {format!r}")
+    extra = ("elapsed",) if timing else ()
+    fields = ("field_degree", "genus", "predictors") + VERDICT_FIELDS + extra
+    keys, first = _distinct(records, fields)
+    parts = {key: _fragments(r, format, timing) for key, r in first.items()}
+    coeffs = [coeffs_str(r.coeffs) for r in records]
+    lines = []
+    if format == "csv":
+        # coeffs_str writes digits, ':' and ',', and csv.writer quotes a cell for a ','
+        coeffs = [f'"{c}"' if "," in c else c for c in coeffs]
+        lines = [",".join(COLUMNS + extra)]
+    return lines + [h + c + t for (h, t), c in zip(map(parts.__getitem__, keys), coeffs)]

@@ -10,9 +10,10 @@ the dimension is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .field import make_ctx
 from .modsolve import ModSolution, minimal_irreducible_solutions, odds_up_to
@@ -37,8 +38,7 @@ class _Frame:
     endpoints as indices into Sigma, fix every entry of the matrix except
     the coefficients c_d at the jump exponents `jumps`.  So the matrix,
     and with it the stable-image dimension, depends only on the field
-    degree and those coefficients; `dims` holds the dimension per such
-    key.
+    degree and those coefficients.
     """
 
     solutions: tuple[ModSolution, ...]
@@ -47,7 +47,6 @@ class _Frame:
     doubling: tuple[tuple[int, int], ...]
     jump_edges: tuple[tuple[int, int, int], ...]
     jumps: tuple[int, ...]
-    dims: dict = field(default_factory=dict, compare=False)
 
     @classmethod
     def of(cls, solutions) -> _Frame:
@@ -89,10 +88,6 @@ class _Frame:
             tuple(sorted(set(jump_edges.values()))),
         )
 
-    def key(self, f: CurvePoly) -> tuple:
-        c = dict(f.coeffs)
-        return (f.field_degree, tuple(c.get(d, 0) for d in self.jumps))
-
     def matrix(self, f: CurvePoly) -> MinimalSupportMatrix:
         n = len(self.sigma)
         rows = [[0] * n for _ in self.sigma]
@@ -108,7 +103,12 @@ class _Frame:
 def build_matrix(solutions, f: CurvePoly) -> MinimalSupportMatrix:
     """Matrix of the twisted map on the union of solution supports, built
     from the solutions alone; see _Frame.of for its rows."""
-    return _Frame.of(solutions).matrix(f)
+    return _frame_of(tuple(solutions)).matrix(f)
+
+
+@lru_cache(maxsize=None)
+def _frame_of(solutions: tuple[ModSolution, ...]) -> _Frame:
+    return _Frame.of(solutions)
 
 
 def _images(M: MinimalSupportMatrix) -> list[int]:
@@ -182,19 +182,18 @@ def vss_dim(M: MinimalSupportMatrix) -> int:
     raise AssertionError("image chain failed to stabilize")
 
 
+def _marks(deg: int) -> tuple[int, ...]:
+    """2^n - 1, and at the window's top degree also 3 * 2^(n-1) - 1."""
+    n = (deg + 1).bit_length() - 1
+    if deg == (1 << (n + 1)) - 3:
+        return ((1 << n) - 1, 3 * (1 << (n - 1)) - 1)
+    return ((1 << n) - 1,)
+
+
 def effective_exponent_set(f: CurvePoly) -> tuple[int, ...]:
     """Odd exponents up to deg f, with the distinguished exponents
     removed when their coefficients vanish."""
-    n = (2 * f.genus + 2).bit_length() - 1
-    strip = []
-    t1 = (1 << n) - 1
-    if f.coeff(t1) == 0:
-        strip.append(t1)
-    if f.deg == (1 << (n + 1)) - 3:
-        t2 = 3 * (1 << (n - 1)) - 1
-        if f.coeff(t2) == 0:
-            strip.append(t2)
-    return _exponent_set(f.deg, tuple(strip))
+    return _exponent_set(f.deg, tuple(e for e in _marks(f.deg) if f.coeff(e) == 0))
 
 
 @lru_cache(maxsize=None)
@@ -206,17 +205,25 @@ def _exponent_set(deg: int, strip: tuple[int, ...]) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _frame(D) -> _Frame:
     # a refused density raises here, and lru_cache stores no exception
-    return _Frame.of(minimal_irreducible_solutions(D))
+    return _frame_of(tuple(minimal_irreducible_solutions(D)))
 
 
-def _dim(frame: _Frame, f: CurvePoly) -> int:
-    """Stable-image dimension of f's matrix: one build_matrix and vss_dim
-    per distinct key of the frame, a dict lookup for every other curve."""
-    key = frame.key(f)
-    d = frame.dims.get(key)
-    if d is None:
-        d = frame.dims[key] = vss_dim(build_matrix(frame.solutions, f))
-    return d
+def rank_keys(deg: int, rows) -> list[tuple]:
+    """A key per dense row (c_1, c_3, ..., c_deg) of curves of one field
+    and degree, equal where predict_first_vertex is: the marks stripped,
+    then the coefficients at the jumps of that exponent set's frame.
+    Frames are built in row order, and only for strips that occur, as
+    a frame that no curve needs may be refused."""
+    marks = _marks(deg)
+    at_marks = itemgetter(*((e - 1) // 2 for e in (marks * 2)[:2]))  # a tuple, even for one mark
+    by_marks = {}  # coefficients at the marks -> (strip, getter of the coefficients at the jumps)
+    for values in dict.fromkeys(map(at_marks, rows)):
+        strip = tuple(e for e, c in zip(marks, values) if c == 0)
+        jumps = _frame(_exponent_set(deg, strip)).jumps
+        # one jump gives a bare coefficient, which keys as well as a tuple
+        by_marks[values] = strip, itemgetter(*((d - 1) // 2 for d in jumps))
+    found = map(by_marks.__getitem__, map(at_marks, rows))
+    return [(strip, at_jumps(row)) for (strip, at_jumps), row in zip(found, rows)]
 
 
 @dataclass(frozen=True)
@@ -232,7 +239,7 @@ class VssReport:
 def vss_report(f: CurvePoly) -> VssReport:
     frame = _frame(effective_exponent_set(f))
     M = frame.matrix(f)
-    d = _dim(frame, f)
+    d = vss_dim(M)
     if d > 0:
         return VssReport(M, d, (d, M.density * d), None)
     return VssReport(M, 0, None, M.density)
@@ -242,5 +249,5 @@ def predict_first_vertex(f: CurvePoly) -> tuple[int, Fraction] | None:
     """First Newton polygon vertex per the stable image, or None when
     the dimension vanishes (first slope strictly above the density)."""
     frame = _frame(effective_exponent_set(f))
-    d = _dim(frame, f)
+    d = vss_dim(build_matrix(frame.solutions, f))
     return (d, frame.density * d) if d else None

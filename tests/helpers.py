@@ -1,10 +1,14 @@
 """Brute-force reference implementations used only by the test suite."""
 
+import csv
+import io
+import json
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
 from np2.modsolve import ModSolution, odds_up_to
+from np2.sweep import COLUMNS, _csv_cell, record_row
 
 # the certified 2-densities of the punctured odd-exponent sets, keyed by
 # the window 2^n - 1 <= d <= 2^(n+1) - 3 for n = 4 and 5
@@ -124,3 +128,16 @@ def chain_dim(ctx, M):
             return dim
         dim = len(basis)
     raise AssertionError("image chain failed to stabilize")
+
+
+def reference_report_lines(records, format, timing=False):
+    """The report rendered one record at a time: a JSON line of each
+    record_row, or a csv.writer row of its cells after the header."""
+    if format == "jsonl":
+        return [json.dumps(record_row(r, timing), sort_keys=True) for r in records]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(COLUMNS + (("elapsed",) if timing else ()))
+    for r in records:
+        writer.writerow([_csv_cell(v) for v in record_row(r, timing).values()])
+    return buf.getvalue().splitlines()

@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -162,7 +163,8 @@ def test_unwritable_report_exits_3_before_any_curve(tmp_path, capsys, monkeypatc
     def no_curves(*args):
         raise AssertionError("a curve was evaluated before the reports were opened")
 
-    monkeypatch.setattr(np2.sweep, "evaluate_curve", no_curves)
+    for name, route in np2.sweep.ROUTES.items():
+        monkeypatch.setitem(np2.sweep.ROUTES, name, replace(route, run=no_curves, family=no_curves))
     paths = {"--out": tmp_path / "g3.jsonl", "--frontier": tmp_path / "frontier.json"}
     paths[flag] = tmp_path / "missing" / "report"
     # the other report already exists and must keep its bytes
@@ -243,3 +245,12 @@ def test_selftest(capsys):
     out = capsys.readouterr().out
     assert "selftest: all checks passed" in out
     assert out.count("ok - ") == 6
+
+
+def test_refusal_abbreviates_a_long_exponent_set(capsys):
+    # 501 exponents: the message names the count, the ends and the range
+    assert main(["density", "--max", "1001"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert "(1, 3, 5, ..., 997, 999, 1001; 501 exponents in 1..1001)" in err

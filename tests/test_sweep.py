@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 import np2.zeta
+from helpers import reference_report_lines
 from np2 import sweep
 from np2.sweep import (
     VERDICT_FIELDS,
     SweepSpec,
     VerdictRecord,
+    dense_rows,
     evaluate_curve,
     frontier_summary,
     iter_curves,
@@ -133,26 +135,36 @@ def spec_id(s):
     )
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        *(SweepSpec(1, g) for g in range(1, 13)),
-        *(SweepSpec(2, g) for g in range(1, 6)),
-        *(SweepSpec(3, g) for g in range(1, 4)),
-        SweepSpec(1, 22, fixed=G22_FIX),
-        SweepSpec(1, 14, mode="random", seed=1, count=128),
-        *(SweepSpec(2, g, mode="random", seed=g, count=100) for g in range(8, 11)),
-        SweepSpec(5, 4, mode="random", seed=4, count=200),
-        SweepSpec(3, 3, mode="random", seed=3, count=60, fixed=((7, 5), (5, 0), (1, 6))),
-        DUPLICATES,
-    ],
-    ids=spec_id,
-)
+FAMILIES = [
+    *(SweepSpec(1, g) for g in range(1, 13)),
+    *(SweepSpec(2, g) for g in range(1, 6)),
+    *(SweepSpec(3, g) for g in range(1, 4)),
+    SweepSpec(1, 22, fixed=G22_FIX),
+    SweepSpec(1, 14, mode="random", seed=1, count=128),
+    *(SweepSpec(2, g, mode="random", seed=g, count=100) for g in range(8, 11)),
+    SweepSpec(5, 4, mode="random", seed=4, count=200),
+    SweepSpec(3, 3, mode="random", seed=3, count=60, fixed=((7, 5), (5, 0), (1, 6))),
+    DUPLICATES,
+]
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=spec_id)
 def test_family_oracle_matches_per_curve(spec):
     # the same-route reference: one curve at a time, in iter_curves order
     oracle = sweep.ROUTES["oracle"]
     curves = list(iter_curves(spec))
     assert oracle.family(spec, random_draws(spec)) == [oracle.run(f) for f in curves]
+
+
+@pytest.mark.parametrize("spec", [*FAMILIES, SweepSpec(1, 10, fixed=ID_FIX)], ids=spec_id)
+def test_family_routes_match_per_curve(spec):
+    # the rank route and the case ladder run once per distinct key of the
+    # family; each must give what it gives one curve at a time
+    rows = list(dense_rows(spec))
+    curves = list(iter_curves(spec))
+    for name in ("vss", "hasse"):
+        route = sweep.ROUTES[name]
+        assert route.family(spec, rows) == [route.run(f) for f in curves], name
 
 
 def test_random_family_has_duplicates():
@@ -271,16 +283,6 @@ def test_report_digest_stable():
     assert all('"elapsed"' not in line for line in report_lines(a, "jsonl"))
 
 
-def test_parallel_matches_serial(monkeypatch):
-    spec = SweepSpec(1, 4)
-    monkeypatch.delenv("NP2_THREADS", raising=False)
-    serial, s1 = run_sweep(spec)
-    monkeypatch.setenv("NP2_THREADS", "3")
-    parallel, s2 = run_sweep(spec)
-    assert report_lines(serial, "jsonl") == report_lines(parallel, "jsonl")
-    assert s1 == s2
-
-
 def test_id_family_disagreement_counted():
     spec = SweepSpec(1, 10, fixed=ID_FIX, predictors=("oracle", "vss", "hasse"))
     records, summary = run_sweep(spec)
@@ -318,62 +320,31 @@ def test_case_ladder_below_its_genus_is_absent():
     assert frontier_summary(records) == {}
 
 
-def test_threads_clamped_to_cpu_count(monkeypatch):
-    specs = (spec_g3(), RANDOM_F4)
-    serial = [run_sweep(spec)[0] for spec in specs]
-    seen = []
+def test_sweep_runs_each_route_once_per_family(monkeypatch):
+    # every route evaluates the family once, in the calling process, and
+    # no route runs curve by curve
+    specs = (spec_g3(), RANDOM_F4, SweepSpec(1, 10, fixed=ID_FIX))
+    want = [report_lines(run_sweep(spec)[0], "jsonl") for spec in specs]
+    calls = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
+    def counted(name, family):
+        def run_family(spec, rows):
+            calls.append((name, spec))
+            return family(spec, rows)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize):
-            return map(fn, *iterables)
-
-    # the parent computes the family's oracle once; the pool runs only the
-    # per-curve routes
-    oracle = sweep.ROUTES["oracle"]
-    families = []
+        return run_family
 
     def no_curve(f):
-        raise AssertionError("the oracle ran per curve in a sweep")
+        raise AssertionError("a route ran per curve in a sweep")
 
-    def family(spec, draws):
-        families.append(spec)
-        return oracle.family(spec, draws)
-
-    monkeypatch.setitem(sweep.ROUTES, "oracle", replace(oracle, run=no_curve, family=family))
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setenv("NP2_THREADS", "8")
-    for spec, want in zip(specs, serial):
-        seen.clear()
-        families.clear()
+    for name, route in sweep.ROUTES.items():
+        patched = replace(route, run=no_curve, family=counted(name, route.family))
+        monkeypatch.setitem(sweep.ROUTES, name, patched)
+    for spec, lines in zip(specs, want):
+        calls.clear()
         records, _ = run_sweep(spec)
-        assert seen == [2]
-        assert families == [spec]
-        assert report_lines(records, "jsonl") == report_lines(want, "jsonl")
-
-
-@pytest.mark.parametrize("value", ["x", "-2", "0", "1.5"])
-def test_threads_must_be_a_positive_integer(monkeypatch, value):
-    def no_pool(max_workers):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setenv("NP2_THREADS", value)
-    with pytest.raises(ValueError, match="NP2_THREADS"):
-        run_sweep(spec_g3())
-    # an empty value means unset: one process
-    monkeypatch.setenv("NP2_THREADS", "")
-    records, _ = run_sweep(spec_g3())
-    assert len(records) == 8
+        assert calls == [(name, spec) for name in sweep.ROUTES]
+        assert report_lines(records, "jsonl") == lines
 
 
 def _digest(lines):
@@ -412,10 +383,15 @@ def _digest(lines):
 def test_report_bytes_pinned(monkeypatch, spec, jsonl, csv, frontier):
     # sha256 of the files `np2 sweep` writes for these families; the
     # reports are a stable format, so a change here is a format change
-    monkeypatch.delenv("NP2_THREADS", raising=False)
     records, _ = run_sweep(spec)
     assert _digest(report_lines(records, "jsonl")) == jsonl
     assert _digest(report_lines(records, "csv")) == csv
+    # each distinct verdict is rendered once: the lines must be the
+    # per-record rendering's, with and without the timing column
+    for fmt in ("jsonl", "csv"):
+        for timing in (False, True):
+            want = reference_report_lines(records, fmt, timing)
+            assert report_lines(records, fmt, timing) == want, (fmt, timing)
     if frontier:
         text = json.dumps(frontier_summary(records), indent=2, sort_keys=True)
         assert _digest([text]) == frontier

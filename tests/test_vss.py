@@ -202,7 +202,6 @@ def test_effective_exponent_set_matches_per_curve_build():
 
 
 def test_rank_route_builds_each_exponent_set_once(monkeypatch):
-    monkeypatch.delenv("NP2_THREADS", raising=False)
     np2.vss._exponent_set.cache_clear()
     calls = []
 
@@ -417,16 +416,17 @@ def reuse_samples():
 
 
 def test_reused_dimension_matches_a_fresh_build():
-    # the per-D frame against build_matrix and vss_dim from the solutions,
-    # with the frame cache cold and then warmed in reverse curve order
+    # the per-D frame against a frame built afresh from the solutions,
+    # outside every cache, with the frame cache cold and then warmed in
+    # reverse curve order
     samples = reuse_samples()
     fresh = {}
     want = []
     for f in samples:
         D = effective_exponent_set(f)
         if D not in fresh:
-            fresh[D] = minimal_irreducible_solutions(D)
-        M = build_matrix(fresh[D], f)
+            fresh[D] = np2.vss._Frame.of(minimal_irreducible_solutions(D))
+        M = fresh[D].matrix(f)
         d = vss_dim(M)
         vertex = (d, M.density * d) if d else None
         want.append((M.sigma, M.entries, d, vertex, None if d else M.density))
@@ -444,7 +444,6 @@ def test_reused_dimension_matches_a_fresh_build():
 
 
 def test_sweep_builds_one_matrix_per_distinct_matrix(monkeypatch):
-    monkeypatch.delenv("NP2_THREADS", raising=False)
     np2.vss._frame.cache_clear()
     build = np2.vss.build_matrix
     built = []
