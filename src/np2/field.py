@@ -100,6 +100,13 @@ class FieldCtx:
                 x ^= m
         return r
 
+    def times_t(self, x: int) -> int:
+        """x * t, one shift and at most one reduction."""
+        x <<= 1
+        if x >> self.degree:
+            x ^= self.modulus
+        return x
+
     def frobenius(self, x: int, k: int) -> int:
         """x^(2^k) by k squarings."""
         for _ in range(k):
@@ -209,18 +216,62 @@ def _mul_by_const(ctx: FieldCtx, c: int, xs: np.ndarray) -> np.ndarray:
 
     Multiplying by c is F_2-linear, so it is applied one input byte at a
     time through a lookup table of c times that byte, the byte tables
-    XOR-ed together.  Each table is spanned by its basis images c * t^i.
+    XOR-ed together.  Each table is spanned by its basis images c * t^i,
+    each one shift of the last, reduced.
     """
     out = np.zeros(xs.shape, dtype=np.int32)
+    ct = c
     for lo in range(0, ctx.degree, 8):
         nbits = min(8, ctx.degree - lo)
         tab = np.zeros(1 << nbits, dtype=np.int32)
         for i in range(nbits):
-            tab[1 << i : 2 << i] = tab[: 1 << i] ^ ctx.mul(c, 1 << (lo + i))
+            tab[1 << i : 2 << i] = tab[: 1 << i] ^ ct
+            ct = ctx.times_t(ct)
         byte = xs >> lo
         byte &= (1 << nbits) - 1
         out ^= tab[byte]
     return out
+
+
+def powers(ctx: FieldCtx, x: int, count: int, first: int = 1) -> np.ndarray:
+    """first * x^k for k = 0..count - 1, as an int32 array.
+
+    out[k:2k] = x^k out[:k], so about log2(count) steps fill it: whole-array
+    ones, and below 16 products one multiplication each, which is cheaper
+    than building the byte tables of _mul_by_const.
+    """
+    out = np.empty(count, dtype=np.int32)
+    out[0] = first
+    k, xk = 1, x
+    while k < count:
+        take = min(k, count - k)
+        if take < 16:
+            out[k : k + take] = [ctx.mul(xk, v) for v in out[:take].tolist()]
+        else:
+            out[k : k + take] = _mul_by_const(ctx, xk, out[:take])
+        k += take
+        xk = ctx.mul(xk, xk)
+    return out
+
+
+@lru_cache(maxsize=None)
+def trace_mask(degree: int) -> int:
+    """The word whose bit k is Tr(t^k) in F_{2^degree}.
+
+    Tr is F_2-linear, so Tr(x) is the parity of the bits of x & trace_mask.
+    Tr(x) is also the trace of the F_2-linear map y -> x y, the sum over i
+    of the t^i coefficient of x t^i, which needs no multiplication.
+    """
+    ctx = make_ctx(degree)
+    mask, tk = 0, 1
+    for k in range(degree):
+        xti, tr = tk, 0
+        for i in range(degree):
+            tr ^= xti >> i & 1
+            xti = ctx.times_t(xti)
+        mask |= tr << k
+        tk = ctx.times_t(tk)
+    return mask
 
 
 class FieldTable:
@@ -228,8 +279,8 @@ class FieldTable:
 
     exp[j] = g^j for the canonical primitive element g, log inverts it
     (log[0] = -1), trace[x] is the absolute trace bit of x, and
-    trace_of_exp[j] = trace[exp[j]].  Used by the vectorized character
-    sum loops.  exp and log are int32, trace and trace_of_exp uint8:
+    trace_of_exp[j] = trace[exp[j]].  Used by the family paths of the
+    oracle.  exp and log are int32, trace and trace_of_exp uint8:
     10 * 2^degree bytes in all.
     """
 
@@ -241,15 +292,7 @@ class FieldTable:
         q = ctx.q
         n = q - 1
         g = primitive_element(degree)
-        # exp[k:2k] = g^k exp[:k], so log2(n) whole-array steps fill it
-        exp = np.empty(n, dtype=np.int32)
-        exp[0] = 1
-        k, gk = 1, g
-        while k < n:
-            take = min(k, n - k)
-            exp[k : k + take] = _mul_by_const(ctx, gk, exp[:take])
-            k += take
-            gk = ctx.mul(gk, gk)
+        exp = powers(ctx, g, n)
         log = np.full(q, -1, dtype=np.int32)
         log[exp] = np.arange(n, dtype=np.int32)
         if ctx.mul(int(exp[-1]), g) != 1 or (log[1:] < 0).any():
@@ -257,9 +300,10 @@ class FieldTable:
         self.exp = exp
         self.log = log
         # Tr is F_2-linear: Tr(x + t^i) = Tr(x) + Tr(t^i) for x < 2^i
+        mask = trace_mask(degree)
         tr = np.zeros(q, dtype=np.uint8)
         for i in range(degree):
-            tr[1 << i : 2 << i] = tr[: 1 << i] ^ ctx.trace(1 << i)
+            tr[1 << i : 2 << i] = tr[: 1 << i] ^ (mask >> i & 1)
         self.trace = tr
         self.trace_of_exp = tr[exp]
 

@@ -21,7 +21,16 @@ from math import comb
 
 import numpy as np
 
-from .field import TABLE_DEGREE_CAP, FieldCtx, embed_bits, field_table, make_ctx
+from .field import (
+    TABLE_DEGREE_CAP,
+    FieldCtx,
+    embed_bits,
+    field_table,
+    make_ctx,
+    powers,
+    primitive_element,
+    trace_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -93,10 +102,10 @@ def check_extension_degree(am: int) -> None:
 
 
 def exponential_sum(f: CurvePoly, m: int) -> int:
-    """S_m = sum over F_{2^(am)} of (-1)^Tr(f(x)), from the field tables.
+    """S_m = sum over F_{2^(am)} of (-1)^Tr(f(x)), from packed trace rows.
 
     Raises ValueError when the extension degree am exceeds
-    TABLE_DEGREE_CAP, where no table is built.
+    TABLE_DEGREE_CAP.
     """
     am = f.field_degree * m
     check_extension_degree(am)
@@ -113,7 +122,7 @@ def exponential_sum(f: CurvePoly, m: int) -> int:
 
 
 def _exponential_sum_scalar(f: CurvePoly, am: int) -> int:
-    """Element-by-element S over F_{2^am}; the reference for the tables."""
+    """Element-by-element S over F_{2^am}; the reference for the packed rows."""
     ctx = make_ctx(am)
     emb = tuple((e, embed_bits(c, f.field_degree, am)) for e, c in f.coeffs)
     s = 0
@@ -128,15 +137,38 @@ def _basis(a: int, am: int) -> tuple[int, ...]:
     return tuple(embed_bits(1 << i, a, am) for i in range(a))
 
 
+# slots of the outer product in _trace_bits formed at a time, to bound
+# its scratch memory
+_ROW_BLOCK = 1 << 18
+
+
 def _trace_bits(am: int, e: int, cbits: int) -> np.ndarray:
-    """Tr(c g^(j e)) for j = 0..2^am - 2 as uint8, g the canonical generator."""
-    tab = field_table(am)
-    n = (1 << am) - 1
-    idx = np.arange(n, dtype=np.int64)
-    idx *= e
-    idx += int(tab.log[cbits])
-    idx %= n
-    return tab.trace_of_exp[idx]
+    """Tr(c g^(j e)) for j = 0..2^am - 2 as uint8, g the canonical generator.
+
+    No field table is built.  With K = 2^ceil(am/2) and j = A K + b,
+    c g^(j e) = h^A y_b for h = g^(e K) and y_b = c g^(b e).  Since
+    Tr(x y) = sum_i x_i Tr(t^i y) over the bits x_i of x, the bit at j is
+    the parity of alpha[A] & w[b], where alpha[A] = h^A and bit i of w[b]
+    is Tr(t^i y_b): two tables of at most K words.  The slot j = 2^am - 1,
+    which repeats j = 0, is dropped.
+    """
+    ctx = make_ctx(am)
+    half = (am + 1) // 2
+    ge = ctx.pow_(primitive_element(am), e)
+    alpha = powers(ctx, ctx.frobenius(ge, half), 1 << (am - half))
+    y = powers(ctx, ge, 1 << half, first=cbits)
+    w = np.zeros_like(y)
+    mask = trace_mask(am)
+    for i in range(am):
+        w |= (np.bitwise_count(y & mask) & 1).astype(np.int32) << i
+        y <<= 1
+        y ^= (y >> am) * ctx.modulus
+    bits = np.empty((alpha.size, w.size), dtype=np.uint8)
+    step = max(1, _ROW_BLOCK // w.size)
+    for lo in range(0, alpha.size, step):
+        np.bitwise_count(alpha[lo : lo + step, None] & w, out=bits[lo : lo + step])
+    bits &= 1
+    return bits.ravel()[: ctx.q - 1]
 
 
 @lru_cache(maxsize=None)
@@ -274,10 +306,14 @@ def _orbit_leaders(a: int, am: int) -> _Orbits:
     n = (1 << am) - 1
     divisors = [s for s in range(1, m + 1) if m % s == 0]
     parts = {s: [] for s in divisors}
-    for lo in range(0, n, _LEADER_BLOCK):
+    parts[1].append(np.zeros(1, dtype=np.uint32))  # every rotation fixes 0
+    # for a = 1 every other leader is odd and below 2^(am - 1): an even
+    # word halves under one rotation, one with its top bit set drops
+    step, stop = (2, 1 << (am - 1)) if a == 1 else (1, n)
+    for lo in range(1, stop, step * _LEADER_BLOCK):
         # a leader is at most each of its rotations; drop a candidate at
         # the first rotation below it
-        lead = np.arange(lo, min(n, lo + _LEADER_BLOCK), dtype=np.uint32)
+        lead = np.arange(lo, min(stop, lo + step * _LEADER_BLOCK), step, dtype=np.uint32)
         rot = lead
         for _ in range(1, m):
             rot = rot << a & n | rot >> (am - a)

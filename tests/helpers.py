@@ -7,8 +7,12 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
+from np2.field import field_table
 from np2.modsolve import ModSolution, odds_up_to
 from np2.sweep import COLUMNS, _csv_cell, record_row
+from np2.zeta import _LEADER_BLOCK, _Orbits
 
 # the certified 2-densities of the punctured odd-exponent sets, keyed by
 # the window 2^n - 1 <= d <= 2^(n+1) - 3 for n = 4 and 5
@@ -141,3 +145,49 @@ def reference_report_lines(records, format, timing=False):
     for r in records:
         writer.writerow([_csv_cell(v) for v in record_row(r, timing).values()])
     return buf.getvalue().splitlines()
+
+
+def table_trace_bits(am, e, cbits):
+    """Tr(c g^(j e)) for j = 0..2^am - 2, gathered from the field table."""
+    tab = field_table(am)
+    n = (1 << am) - 1
+    idx = np.arange(n, dtype=np.int64)
+    idx *= e
+    idx += int(tab.log[cbits])
+    idx %= n
+    return tab.trace_of_exp[idx]
+
+
+def full_orbit_leaders(a, am):
+    """_Orbits from a search over every exponent 0..2^am - 2."""
+    m = am // a
+    n = (1 << am) - 1
+    divisors = [s for s in range(1, m + 1) if m % s == 0]
+    parts = {s: [] for s in divisors}
+    for lo in range(0, n, _LEADER_BLOCK):
+        lead = np.arange(lo, min(n, lo + _LEADER_BLOCK), dtype=np.uint32)
+        rot = lead
+        for _ in range(1, m):
+            rot = rot << a & n | rot >> (am - a)
+            keep = lead <= rot
+            lead, rot = lead[keep], rot[keep]
+        size = np.full(lead.size, m, dtype=np.uint8)
+        for s in reversed(divisors[:-1]):
+            shift = a * s
+            size[(lead << shift & n | lead >> (am - shift)) == lead] = s
+        for s in divisors:
+            parts[s].append(lead[size == s])
+    sizes, counts, bounds = [], [], [0]
+    for s in divisors:
+        c = sum(part.size for part in parts[s])
+        if c:
+            sizes.append(s)
+            counts.append(c)
+            bounds.append(bounds[-1] - (-c // 64))
+    leaders = np.zeros(64 * bounds[-1], dtype=np.uint32)
+    mask = np.full(bounds[-1], (1 << 64) - 1, dtype=np.uint64)
+    for s, c, lo in zip(sizes, counts, bounds):
+        leaders[64 * lo : 64 * lo + c] = np.concatenate(parts.pop(s))
+        if c % 64:
+            mask[lo + c // 64] = (1 << c % 64) - 1
+    return _Orbits(tuple(sizes), tuple(counts), tuple(bounds), leaders, mask)

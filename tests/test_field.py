@@ -6,6 +6,7 @@ import pytest
 import np2.field
 from helpers import field_inv
 from np2.field import (
+    MAX_DEGREE,
     FieldCtx,
     FieldTable,
     _mul_by_const,
@@ -14,8 +15,10 @@ from np2.field import (
     field_table,
     is_irreducible,
     make_ctx,
+    powers,
     primitive_element,
     smallest_irreducible,
+    trace_mask,
 )
 
 
@@ -227,6 +230,30 @@ def test_mul_by_const_at_byte_boundaries():
             got = _mul_by_const(ctx, c, arr)
             assert got.dtype == np.int32
             assert got.tolist() == [ctx.mul(c, x) for x in xs], (a, c)
+
+
+def test_trace_mask_matches_trace():
+    for a in range(1, MAX_DEGREE + 1):
+        ctx = make_ctx(a)
+        mask = trace_mask(a)
+        for k in range(a):
+            assert mask >> k & 1 == ctx.trace(1 << k), (a, k)
+        assert mask >> a == 0
+
+
+def test_powers_match_repeated_multiplication():
+    # counts across the switch from one-by-one products to byte tables
+    rng = random.Random(4)
+    for a in (1, 5, 13, 22):
+        ctx = make_ctx(a)
+        for count in (1, 2, 17, 33, 100):
+            x, first = rng.randrange(ctx.q), rng.randrange(1, ctx.q)
+            want, v = [], first
+            for _ in range(count):
+                want.append(v)
+                v = ctx.mul(v, x)
+            got = powers(ctx, x, count, first)
+            assert got.dtype == np.int32 and got.tolist() == want, (a, count)
 
 
 def test_field_table_detects_wrong_generator_order(monkeypatch):

@@ -1,14 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import full_orbit_leaders, table_trace_bits
 from np2.field import embed_bits, make_ctx
 from np2.zeta import (
     CurvePoly,
     _exponential_sum_scalar,
     _orbit_leaders,
+    _trace_bits,
     _trace_row,
     exponential_sum,
     first_vertex,
@@ -163,6 +169,42 @@ def test_trace_rows_cached_per_coefficient_bit():
     assert _trace_row.cache_info().currsize <= 5 * 4 * 5
 
 
+@pytest.mark.parametrize("am", range(1, 23))
+def test_trace_bits_match_table_gather(am):
+    # random odd and even exponents and coefficients, e = 2^am - 1 (what
+    # exponential_sum passes for e = 0 mod 2^am - 1) and c = 1
+    rng = random.Random(am)
+    n = (1 << am) - 1
+    cases = [(rng.randrange(1, n + 1), rng.randrange(1, n + 1)) for _ in range(3)]
+    cases += [(n, rng.randrange(1, n + 1)), (rng.randrange(1, n + 1) | 1, 1)]
+    for e, c in cases:
+        got = _trace_bits(am, e, c)
+        want = table_trace_bits(am, e, c)
+        assert got.dtype == want.dtype and got.shape == want.shape, (am, e, c)
+        assert np.array_equal(got, want), (am, e, c)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_per_curve_oracle_builds_no_field_table():
+    # a genus-22 F_2 curve in a fresh process: no 2^22 table is built.  The
+    # peak is VmHWM, of the child's own image: the child's ru_maxrss also
+    # counts the resident set of the test process that forked it.
+    code = (
+        "from np2.field import field_table\n"
+        "from np2.zeta import CurvePoly, first_vertex, l_polynomial, newton_polygon\n"
+        "lc = l_polynomial(CurvePoly.make(1, {45: 1, 31: 1, 13: 1}))\n"
+        "hwm = next(s for s in open('/proc/self/status') if s.startswith('VmHWM:')).split()[1]\n"
+        "print(first_vertex(newton_polygon(lc, 2)), field_table.cache_info().currsize, hwm)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    vertex, tables, peak_kb = out.stdout.rsplit(maxsplit=2)
+    assert vertex == "(5, Fraction(1, 1))"
+    assert tables == "0"
+    assert int(peak_kb) < 80 * 1024
+
+
 LEADER_CASES = [(a, am) for am in range(1, 13) for a in range(1, am + 1) if am % a == 0]
 
 
@@ -187,6 +229,20 @@ def test_orbit_leaders(a, am):
         assert all((step > j).all() for step in orbit[1:s])
     # the bits of the padding slots are cleared
     assert sum(int(w).bit_count() for w in orbits.mask) == sum(orbits.counts)
+
+
+SEARCH_CASES = [(1, am) for am in range(1, 23)] + [(a, am) for a, am in LEADER_CASES if a > 1]
+
+
+@pytest.mark.parametrize("a, am", [*SEARCH_CASES, (2, 20), (5, 20)])
+def test_orbit_leaders_match_full_search(a, am):
+    # the F_2 search skips even words and words with the top bit set
+    got, want = _orbit_leaders(a, am), full_orbit_leaders(a, am)
+    for name in ("sizes", "counts", "bounds"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("leaders", "mask"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
 def test_l_polynomial_full_mode_consistency():
