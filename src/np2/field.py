@@ -279,9 +279,10 @@ class FieldTable:
 
     exp[j] = g^j for the canonical primitive element g, log inverts it
     (log[0] = -1), trace[x] is the absolute trace bit of x, and
-    trace_of_exp[j] = trace[exp[j]].  Used by the family paths of the
-    oracle.  exp and log are int32, trace and trace_of_exp uint8:
-    10 * 2^degree bytes in all.
+    trace_of_exp[j] = trace[exp[j]].  No np2 path reads it any more: it
+    is the tests' reference for the trace rows and a benchmark span only.
+    exp and log are int32, trace and trace_of_exp uint8: 10 * 2^degree
+    bytes in all.
     """
 
     def __init__(self, degree: int):

@@ -25,7 +25,6 @@ from .field import (
     TABLE_DEGREE_CAP,
     FieldCtx,
     embed_bits,
-    field_table,
     make_ctx,
     powers,
     primitive_element,
@@ -104,8 +103,8 @@ def check_extension_degree(am: int) -> None:
 def exponential_sum(f: CurvePoly, m: int) -> int:
     """S_m = sum over F_{2^(am)} of (-1)^Tr(f(x)), from packed trace rows.
 
-    Raises ValueError when the extension degree am exceeds
-    TABLE_DEGREE_CAP.
+    Raises ValueError when the extension degree am exceeds the
+    extension-degree cap, TABLE_DEGREE_CAP.
     """
     am = f.field_degree * m
     check_extension_degree(am)
@@ -195,7 +194,7 @@ def l_polynomial(f: CurvePoly, full: bool = False) -> list[int]:
     full=True all of S_1..S_2g are computed and the functional equation,
     the Weil bound and evenness of a_1..a_2g are verified.  Raises
     ValueError, before computing any sum, when S_top lies past the
-    field table cap (a * g or a * 2g above TABLE_DEGREE_CAP).
+    extension-degree cap (a * g or a * 2g above TABLE_DEGREE_CAP).
     """
     g = f.genus
     q = f.q
@@ -344,25 +343,62 @@ def _orbit_leaders(a: int, am: int) -> _Orbits:
     return _Orbits(tuple(sizes), tuple(counts), tuple(bounds), leaders, mask)
 
 
+def _basis_log(a: int, am: int) -> int:
+    """log_g of beta_1 = rho, the image of t, for a > 1.
+
+    rho is a nonzero element of the subfield F_{2^a}, so it lies in the
+    subgroup of order 2^a - 1 generated by z = g^(n / (2^a - 1)): the log is
+    that step times the position of rho among the powers of z.
+    """
+    ctx = make_ctx(am)
+    step = (ctx.q - 1) // ((1 << a) - 1)
+    z = powers(ctx, ctx.pow_(primitive_element(am), step), (1 << a) - 1)
+    return step * int(np.flatnonzero(z == _basis(a, am)[1])[0])
+
+
+@lru_cache(maxsize=None)
+def _trace_words(a: int, am: int) -> np.ndarray:
+    """T[j] = sum_i Tr(beta_i g^j) << i for j = 0..2^am - 2, over the basis
+    images beta_i of F_{2^a}, in the least unsigned dtype that holds a bits.
+
+    For a = 1 this is the row Tr(g^j) of _trace_bits, shared by every field
+    degree at am.  Since beta_i = rho^i, bit i is that row rotated by
+    i log rho.
+    """
+    if a == 1:
+        row = _trace_bits(am, 1, 1)
+        row.setflags(write=False)
+        return row
+    n = (1 << am) - 1
+    row = _trace_words(1, am).astype(np.min_scalar_type((1 << a) - 1))
+    words = row.copy()
+    log_rho = _basis_log(a, am)
+    for i in range(1, a):
+        s = i * log_rho % n
+        words[: n - s] |= row[s:] << i
+        words[n - s :] |= row[:s] << i
+    words.setflags(write=False)
+    return words
+
+
 @lru_cache(maxsize=None)
 def _leader_rows(a: int, am: int, e: int) -> np.ndarray:
     """Tr(beta_i g^(j e)) over the orbit leaders j, one packed uint64 row
     per basis image beta_i of F_{2^a}, laid out as _Orbits; padding bits
-    are zero."""
-    tab = field_table(am)
+    are zero.  One gather of _trace_words per block of leaders gives all a
+    rows."""
+    words = _trace_words(a, am)
     n = (1 << am) - 1
     orbits = _orbit_leaders(a, am)
-    logs = [int(tab.log[b]) for b in _basis(a, am)]
     rows = np.empty((a, orbits.mask.size), dtype=np.uint64)
     for lo in range(0, orbits.leaders.size, _LEADER_BLOCK):
         je = orbits.leaders[lo : lo + _LEADER_BLOCK].astype(np.int64)
         je *= e
         je %= n
-        words = slice(lo // 64, (lo + je.size) // 64)
-        for i, lb in enumerate(logs):
-            idx = je + lb
-            idx[idx >= n] -= n
-            rows[i, words] = np.packbits(tab.trace_of_exp[idx], bitorder="little").view(np.uint64)
+        t = words.take(je)
+        out = slice(lo // 64, (lo + je.size) // 64)
+        for i in range(a):
+            rows[i, out] = np.packbits((t & 1 << i).astype(bool), bitorder="little").view(np.uint64)
     rows &= orbits.mask
     rows.setflags(write=False)
     return rows
@@ -431,8 +467,14 @@ def _unpack(row: np.ndarray) -> np.ndarray:
     return np.unpackbits(row.view(np.uint8), bitorder="little")
 
 
-# bytes of packed trace words that curves_first_vertices holds per chunk
-_CHUNK_BYTES = 1 << 20
+# bytes of packed trace words that curves_first_vertices XORs per chunk
+_CHUNK_BYTES = 1 << 19
+
+
+def _group_width(curves: int) -> int:
+    """Bits per XOR table: a table of 2^w rows pays off once that many
+    curves look it up."""
+    return max(1, min(4, curves.bit_length() - 1))
 
 
 def curves_first_vertices(field_degree: int, dense) -> list[tuple[int, Fraction]]:
@@ -442,10 +484,10 @@ def curves_first_vertices(field_degree: int, dense) -> list[tuple[int, Fraction]
     F_{2^a}, every last entry nonzero, so all curves have genus g.  For
     each m, a curve's leader row of Tr(f(x)) XORs the rows of
     _leader_rows for the set bits of its coefficients: through tables of
-    the XORs of up to four rows, one table lookup per four bits, for a
-    chunk of curves of about _CHUNK_BYTES at a time; bits set in no curve
-    are skipped.  Then S_m = 1 + sum over orbit sizes s of
-    s * (leaders - 2 * set bits).
+    the XORs of up to w = _group_width(curves) rows, built once per m, one
+    lookup per w bits by a uint8 index per curve, for a chunk of curves of
+    about _CHUNK_BYTES at a time; bits set in no curve are skipped.  Then
+    S_m = 1 + sum over orbit sizes s of s * (leaders - 2 * set bits).
     """
     a = field_degree
     dense = np.asarray(dense, dtype=np.int64)
@@ -454,34 +496,32 @@ def curves_first_vertices(field_degree: int, dense) -> list[tuple[int, Fraction]
     check_extension_degree(a * g)
     if not dense[:, -1].all():
         raise ValueError("a curve has a zero leading coefficient")
-    # (exponent index, bit, bit of every curve) of the bits some curve sets
-    used = []
-    for k in range(width):
-        for i in range(a):
-            col = dense[:, k] >> i & 1
-            if col.any():
-                used.append((k, i, col))
+    # (exponent index, bit) of the bits some curve sets, w to a group; a
+    # curve's index into a group's table holds its bits of that group
+    used = [(k, i) for k in range(width) for i in range(a) if (dense[:, k] >> i & 1).any()]
+    w = _group_width(curves)
+    groups = [used[t : t + w] for t in range(0, len(used), w)]
+    index = np.zeros((len(groups), curves), dtype=np.uint8)
+    for t, group in enumerate(groups):
+        for r, (k, i) in enumerate(group):
+            index[t] |= (dense[:, k] >> i & 1).astype(np.uint8) << r
     sums = []
     for m in range(1, g + 1):
         am = a * m
         orbits = _orbit_leaders(a, am)
-        rows = [_leader_rows(a, am, 2 * k + 1) for k in range(width)]
         words = orbits.mask.size
+        tables = np.zeros((len(groups), 1 << w, words), dtype=np.uint64)
+        for t, group in enumerate(groups):
+            for r, (k, i) in enumerate(group):
+                row = _leader_rows(a, am, 2 * k + 1)[i]
+                np.bitwise_xor(tables[t, : 1 << r], row, out=tables[t, 1 << r : 2 << r])
         chunk = max(1, _CHUNK_BYTES // (8 * words))
-        # a table of 2^w rows pays off once a chunk holds that many curves
-        w = max(1, min(4, chunk.bit_length() - 1))
         total = np.empty(curves, dtype=np.int64)
         for lo in range(0, curves, chunk):
             hi = min(curves, lo + chunk)
-            acc = np.zeros((hi - lo, words), dtype=np.uint64)
-            for t in range(0, len(used), w):
-                group = used[t : t + w]
-                table = np.zeros((1 << len(group), words), dtype=np.uint64)
-                index = np.zeros(hi - lo, dtype=np.intp)
-                for r, (k, i, col) in enumerate(group):
-                    np.bitwise_xor(table[: 1 << r], rows[k][i], out=table[1 << r : 2 << r])
-                    index |= col[lo:hi] << r
-                acc ^= table[index]
+            acc = tables[0][index[0, lo:hi]]
+            for t in range(1, len(groups)):
+                acc ^= tables[t][index[t, lo:hi]]
             # S_m = 2^am - 2 sum_s s * (set bits in segment s), x = 0 included
             ones = np.zeros(hi - lo, dtype=np.int64)
             for s, b0, b1 in zip(orbits.sizes, orbits.bounds, orbits.bounds[1:]):

@@ -3,16 +3,20 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from np2.field import field_table
 from np2.modsolve import ModSolution, odds_up_to
 from np2.sweep import COLUMNS, _csv_cell, record_row
-from np2.zeta import _LEADER_BLOCK, _Orbits
+from np2.zeta import _LEADER_BLOCK, _basis, _orbit_leaders, _Orbits
 
 # the certified 2-densities of the punctured odd-exponent sets, keyed by
 # the window 2^n - 1 <= d <= 2^(n+1) - 3 for n = 4 and 5
@@ -158,6 +162,20 @@ def table_trace_bits(am, e, cbits):
     return tab.trace_of_exp[idx]
 
 
+def table_leader_rows(a, am, e):
+    """Tr(beta_i g^(j e)) over the orbit leaders j, one packed row per basis
+    image beta_i, gathered from the field table at (j e + log beta_i) mod n."""
+    tab = field_table(am)
+    n = (1 << am) - 1
+    orbits = _orbit_leaders(a, am)
+    je = orbits.leaders.astype(np.int64) * e
+    rows = np.empty((a, orbits.mask.size), dtype=np.uint64)
+    for i, b in enumerate(_basis(a, am)):
+        bits = tab.trace_of_exp[(je + int(tab.log[b])) % n]
+        rows[i] = np.packbits(bits, bitorder="little").view(np.uint64)
+    return rows & orbits.mask
+
+
 def full_orbit_leaders(a, am):
     """_Orbits from a search over every exponent 0..2^am - 2."""
     m = am // a
@@ -191,3 +209,20 @@ def full_orbit_leaders(a, am):
         if c % 64:
             mask[lo + c // 64] = (1 << c % 64) - 1
     return _Orbits(tuple(sizes), tuple(counts), tuple(bounds), leaders, mask)
+
+
+def fresh_process(code):
+    """Run code in a fresh interpreter with np2 importable; return what it
+    prints, the number of field tables it built and its peak resident set
+    in kB.  The peak is VmHWM, of the child's own image: a child's
+    ru_maxrss also counts the resident set of the process that forked it."""
+    code += (
+        "from np2.field import field_table\n"
+        "hwm = next(s for s in open('/proc/self/status') if s.startswith('VmHWM:')).split()[1]\n"
+        "print(field_table.cache_info().currsize, hwm)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    printed, tables, peak_kb = out.stdout.rsplit(maxsplit=2)
+    return printed, int(tables), int(peak_kb)

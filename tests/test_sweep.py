@@ -3,11 +3,12 @@ import json
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import np2.zeta
-from helpers import reference_report_lines
+from helpers import fresh_process, reference_report_lines
 from np2 import sweep
 from np2.sweep import (
     VERDICT_FIELDS,
@@ -172,13 +173,49 @@ def test_random_family_has_duplicates():
     assert len(set(curves)) < len(curves)
 
 
+# random families whose curve counts give XOR tables of w = 1..4 bits; none
+# uses a multiple of w coefficient bits, so the last table is partial
+CHUNK_FAMILIES = [
+    (SweepSpec(2, 5, mode="random", seed=11, count=3), 1),
+    (SweepSpec(1, 10, mode="random", seed=11, count=5), 2),
+    (SweepSpec(2, 4, mode="random", seed=11, count=12), 3),
+    (SweepSpec(5, 2, mode="random", seed=11, count=40), 4),
+]
+
+
 @pytest.mark.parametrize("chunk_bytes", [1, 200, 2000])
 def test_random_family_chunks_match_per_curve(monkeypatch, chunk_bytes):
-    # one curve per chunk with two-row tables, then a few curves per chunk
+    # one curve per chunk, then a few curves per chunk, through tables of
+    # w = _group_width(count) bits built once per m
     monkeypatch.setattr(np2.zeta, "_CHUNK_BYTES", chunk_bytes)
-    spec = SweepSpec(2, 5, mode="random", seed=11, count=40)
     oracle = sweep.ROUTES["oracle"]
-    assert oracle.family(spec, random_draws(spec)) == [oracle.run(f) for f in iter_curves(spec)]
+    for spec, w in CHUNK_FAMILIES:
+        draws = random_draws(spec)
+        used = sum(any(c >> i & 1 for c in col) for col in zip(*draws) for i in range(spec.field_degree))
+        assert np2.zeta._group_width(spec.count) == w
+        assert w == 1 or used % w, (spec, used)
+        assert oracle.family(spec, draws) == [oracle.run(f) for f in iter_curves(spec)], spec
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_family_oracle_builds_no_field_table():
+    # an exhaustive and two random families, and the genus-22 --fix family
+    # on its own, each in a fresh process
+    counts, tables, _ = fresh_process(
+        "from np2.sweep import ROUTES, SweepSpec, random_draws\n"
+        "for spec in (SweepSpec(1, 8), SweepSpec(2, 10, mode='random', seed=10, count=100),\n"
+        "             SweepSpec(5, 4, mode='random', seed=4, count=200)):\n"
+        "    print(len(ROUTES['oracle'].family(spec, random_draws(spec))))\n"
+    )
+    assert counts.split() == ["256", "100", "200"]
+    assert tables == 0
+    count, tables, peak_kb = fresh_process(
+        "from np2.sweep import ROUTES, SweepSpec\n"
+        f"print(len(ROUTES['oracle'].family(SweepSpec(1, 22, fixed={G22_FIX!r}), None)))\n"
+    )
+    assert count == "16"
+    assert tables == 0
+    assert peak_kb < 100 * 1024
 
 
 def test_random_family_needs_a_leading_coefficient():

@@ -1,18 +1,18 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import full_orbit_leaders, table_trace_bits
-from np2.field import embed_bits, make_ctx
+from helpers import fresh_process, full_orbit_leaders, table_leader_rows, table_trace_bits
+from np2.field import embed_bits, make_ctx, primitive_element
 from np2.zeta import (
     CurvePoly,
+    _basis,
+    _basis_log,
     _exponential_sum_scalar,
+    _leader_rows,
     _orbit_leaders,
     _trace_bits,
     _trace_row,
@@ -186,23 +186,15 @@ def test_trace_bits_match_table_gather(am):
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_per_curve_oracle_builds_no_field_table():
-    # a genus-22 F_2 curve in a fresh process: no 2^22 table is built.  The
-    # peak is VmHWM, of the child's own image: the child's ru_maxrss also
-    # counts the resident set of the test process that forked it.
-    code = (
-        "from np2.field import field_table\n"
+    # a genus-22 F_2 curve in a fresh process: no 2^22 table is built
+    vertex, tables, peak_kb = fresh_process(
         "from np2.zeta import CurvePoly, first_vertex, l_polynomial, newton_polygon\n"
         "lc = l_polynomial(CurvePoly.make(1, {45: 1, 31: 1, 13: 1}))\n"
-        "hwm = next(s for s in open('/proc/self/status') if s.startswith('VmHWM:')).split()[1]\n"
-        "print(first_vertex(newton_polygon(lc, 2)), field_table.cache_info().currsize, hwm)\n"
+        "print(first_vertex(newton_polygon(lc, 2)))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    vertex, tables, peak_kb = out.stdout.rsplit(maxsplit=2)
     assert vertex == "(5, Fraction(1, 1))"
-    assert tables == "0"
-    assert int(peak_kb) < 80 * 1024
+    assert tables == 0
+    assert peak_kb < 80 * 1024
 
 
 LEADER_CASES = [(a, am) for am in range(1, 13) for a in range(1, am + 1) if am % a == 0]
@@ -243,6 +235,29 @@ def test_orbit_leaders_match_full_search(a, am):
     for name in ("leaders", "mask"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+ROW_CASES = [(a, am) for a, am in LEADER_CASES if a <= 5]
+# a sample above am = 12; a = 8 fills a uint8 word, a = 9 and 12 need
+# uint16 words and a = 17 uint32 ones
+ROW_SAMPLE = [(1, 13), (1, 16), (1, 20), (2, 14), (2, 20), (3, 15), (3, 18), (4, 16), (4, 20), (5, 15), (5, 20)]
+WIDE_ROWS = [(8, 16), (9, 9), (12, 12), (17, 17)]
+
+
+@pytest.mark.parametrize("a, am", [*ROW_CASES, *ROW_SAMPLE, *WIDE_ROWS])
+def test_leader_rows_match_table_gather(a, am):
+    # every odd exponent of a curve of genus m = am / a
+    for e in range(1, 2 * (am // a) + 2, 2):
+        got, want = _leader_rows(a, am, e), table_leader_rows(a, am, e)
+        assert got.dtype == want.dtype and got.shape == want.shape, (a, am, e)
+        assert np.array_equal(got, want), (a, am, e)
+
+
+@pytest.mark.parametrize("am", range(2, 23))
+def test_basis_log_is_the_log_of_the_basis_image(am):
+    ctx = make_ctx(am)
+    for a in (d for d in range(2, am + 1) if am % d == 0):
+        assert ctx.pow_(primitive_element(am), _basis_log(a, am)) == _basis(a, am)[1], a
 
 
 def test_l_polynomial_full_mode_consistency():
