@@ -10,8 +10,11 @@ import argparse
 import json
 # argparse's gettext imports locale when a parser is built: load it here, not in a command's run
 import locale  # noqa: F401
+import os
+import shutil
 import sys
-from contextlib import ExitStack
+import tempfile
+from contextlib import suppress
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -190,6 +193,28 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _write_atomically(writers) -> None:
+    """Write each {path: writer} path through a temporary file in its
+    directory, with the path's mode, and rename every one over its path
+    once all are written; on failure no path changes and no file is left.
+    A symlinked path is written through, to the file it names."""
+    temps = {}
+    try:
+        for path, write in writers.items():
+            path = os.path.realpath(path)
+            head, tail = os.path.split(path)
+            fd, temps[path] = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head)
+            with open(fd, "w") as fh:
+                shutil.copymode(path, temps[path])
+                write(fh)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            with suppress(FileNotFoundError):
+                os.remove(temp)
+
+
 def cmd_sweep(args) -> int:
     fixed = tuple(sorted(args.fix.items())) if args.fix else ()
     spec = SweepSpec(
@@ -203,20 +228,28 @@ def cmd_sweep(args) -> int:
     )
     spec.validate()
     # an unwritable path fails here, before any curve is evaluated; opening
-    # to append truncates nothing, so existing reports keep their bytes
-    # until the sweep has finished
+    # to append truncates nothing, and the reports are renamed over these
+    # paths only once they are written
     for path in (args.out, args.frontier):
         if path:
             open(path, "a").close()
-    records, summary = run_sweep(spec)
-    with ExitStack() as files:
-        out = files.enter_context(open(args.out, "w")) if args.out else sys.stdout
-        frontier = files.enter_context(open(args.frontier, "w")) if args.frontier else None
-        for line in report_lines(records, args.format, args.timing):
-            print(line, file=out)
-        if frontier:
-            json.dump(frontier_summary(records), frontier, indent=2, sort_keys=True)
-            frontier.write("\n")
+    sweep, summary = run_sweep(spec)
+
+    def write_report(fh):
+        fh.writelines(line + "\n" for line in report_lines(sweep, args.format, args.timing))
+
+    def write_frontier(fh):
+        json.dump(frontier_summary(sweep), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    writers = {}
+    if args.out:
+        writers[args.out] = write_report
+    else:
+        write_report(sys.stdout)
+    if args.frontier:
+        writers[args.frontier] = write_frontier
+    _write_atomically(writers)
     print(json.dumps(asdict(summary), sort_keys=True), file=sys.stderr)
     if summary.oracle_disagreements and not args.expect_frontier:
         return 2

@@ -6,8 +6,11 @@ decide report order.  Exhaustive families come out in encoding order as
 they are enumerated; random families pre-draw all curves from a seed
 (random_draws) and come out sorted by encoding.  Every route evaluates
 a whole family at once, in the calling process, and each record's
-elapsed time is an equal share of that work.  Timing is kept out of the
-serialized forms by default so report digests are stable.
+elapsed time is an equal share of that work.  A sweep is held as
+columns (Sweep): the rows, the distinct verdicts and one index per row;
+summaries and reports are built once per distinct verdict.  Timing is
+kept out of the serialized forms by default so report digests are
+stable.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ import csv
 import io
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cached_property
+from itertools import chain, combinations, product, repeat
 from operator import attrgetter, itemgetter
 from random import Random
 from typing import Callable
+
+import numpy as np
 
 from .hasse import MIN_GENUS, classify, read_exponents
 from .vss import predict_first_vertex, rank_keys
@@ -297,23 +302,62 @@ class SweepSummary:
     absences: int
 
 
-def _distinct(records, fields) -> tuple[list, dict]:
-    """A key per record for its values of fields, and a record per key.
-    The key is the values' identities, as a sweep's records share their
-    verdict objects: no Fraction is hashed per record."""
-    get = attrgetter(*fields)
-    keys = [tuple(map(id, get(r))) for r in records]
-    return keys, dict(zip(keys, records))
+@dataclass(frozen=True, eq=False, repr=False)
+class Sweep:
+    """A family's verdicts as columns: its dense rows in report order, the
+    table of its distinct verdicts (_verdict's fields) and one index into
+    that table per row.
+
+    Indexing and iteration give a VerdictRecord view per row, built on
+    demand; every record's elapsed is share.
+    """
+
+    field_degree: int
+    genus: int
+    predictors: tuple[str, ...]
+    share: float
+    rows: list[tuple[int, ...]]
+    verdicts: list[tuple]
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._record(self.rows[i], self.verdicts[self.index[i]])
+
+    def __iter__(self):
+        return map(self._record, self.rows, map(self.verdicts.__getitem__, self.index.tolist()))
+
+    def _record(self, row, verdict) -> VerdictRecord:
+        a, g = self.field_degree, self.genus
+        return VerdictRecord(a, g, _sparse(row), self.predictors, *verdict, self.share)
+
+    def tally(self):
+        """(record, rows) per distinct verdict, the record without coefficients."""
+        counts = np.bincount(self.index, minlength=len(self.verdicts)).tolist()
+        return zip(map(self._record, repeat(()), self.verdicts), counts)
+
+    @cached_property
+    def coeffs(self) -> list[str]:
+        """Each row's coefficients as coeffs_str writes them, joined from
+        per-(exponent, value) fragments: the leading coefficient, which is
+        nonzero, then ",e:c" for each nonzero lower one."""
+        q = 1 << self.field_degree
+        lower = [["", *(f",{e}:{c}" for c in range(1, q))] for e in range(1, 2 * self.genus, 2)]
+        fragments = [*lower, [f"{2 * self.genus + 1}:{c}" for c in range(q)]]
+        columns = [map(f.__getitem__, map(itemgetter(k), self.rows)) for k, f in enumerate(fragments)]
+        return list(map("".join, zip(*reversed(columns))))
 
 
-def summarize(records) -> SweepSummary:
+def summarize(*sweeps: Sweep) -> SweepSummary:
+    """The summary of one sweep, or of several pooled."""
     reference = PREDICTORS[0]
     against_reference = [flag for flag, (a, _) in AGREEMENTS.items() if a == reference]
-    vertices = [route.vertex for route in ROUTES.values()]
-    keys, first = _distinct(records, ("predictors", *AGREEMENTS, *vertices))
     agreements = disagreements = reference_dis = absences = 0
-    for key, count in Counter(keys).items():
-        r = first[key]
+    for r, count in chain.from_iterable(s.tally() for s in sweeps):
         flags = [getattr(r, flag) for flag in AGREEMENTS]
         ran = [f for f in flags if f is not None]
         if ran and all(ran):
@@ -327,39 +371,38 @@ def summarize(records) -> SweepSummary:
             for name, route in ROUTES.items()
         ):
             absences += count
-    return SweepSummary(len(records), agreements, disagreements, reference_dis, absences)
+    total = sum(map(len, sweeps))
+    return SweepSummary(total, agreements, disagreements, reference_dis, absences)
 
 
-def run_sweep(spec: SweepSpec) -> tuple[list[VerdictRecord], SweepSummary]:
-    """The family's records in report order, and their summary: every
-    route's family entry point runs once, the agreement flags once per
-    distinct verdict, and each record's elapsed is an equal share."""
+def run_sweep(spec: SweepSpec) -> tuple[Sweep, SweepSummary]:
+    """The family's sweep and its summary: every route's family entry
+    point runs once, the agreement flags once per distinct verdict, and
+    each record's elapsed is an equal share."""
     t0 = time.perf_counter()
     rows = list(dense_rows(spec))
     columns = [
         r.family(spec, rows) if n in spec.predictors else [(None,) * len(r.fields)] * len(rows)
         for n, r in ROUTES.items()
     ]
-    # equal values come as one object, so, as in _distinct, identities key the verdicts
+    # equal values come as one object, so identities key the verdicts
     keys = list(zip(*(map(id, column) for column in columns)))
-    verdict_of = {key: _verdict(values) for key, values in dict(zip(keys, zip(*columns))).items()}
+    row_of = dict(zip(keys, range(len(keys))))  # a row of each distinct key
+    number = dict(zip(row_of, range(len(row_of))))
+    index = np.fromiter(map(number.__getitem__, keys), dtype=np.int32, count=len(keys))
+    verdicts = [_verdict([column[i] for column in columns]) for i in row_of.values()]
     share = (time.perf_counter() - t0) / len(rows)
-    a, g, predictors = spec.field_degree, spec.genus, spec.predictors
-    records = [
-        VerdictRecord(a, g, _sparse(row), predictors, *verdict, share)
-        for row, verdict in zip(rows, map(verdict_of.__getitem__, keys))
-    ]
-    return records, summarize(records)
+    sweep = Sweep(spec.field_degree, spec.genus, spec.predictors, share, rows, verdicts, index)
+    return sweep, summarize(sweep)
 
 
-def frontier_summary(records) -> dict[str, dict[str, int]]:
-    """Per-case agreement table for the case ladder, the last route."""
+def frontier_summary(*sweeps: Sweep) -> dict[str, dict[str, int]]:
+    """Per-case agreement table for the case ladder, the last route, over
+    one sweep or several pooled."""
     *_, ladder = ROUTES
     judges = {a: flag for flag, (a, b) in AGREEMENTS.items() if b == ladder}
-    keys, first = _distinct(records, ("hasse_case", "hasse_vertex", *judges.values()))
     rows: dict[str, dict[str, int]] = {}
-    for key, count in Counter(keys).items():
-        r = first[key]
+    for r, count in chain.from_iterable(s.tally() for s in sweeps):
         if r.hasse_case is None:
             continue
         row = rows.get(r.hasse_case)
@@ -426,19 +469,17 @@ def _fragments(rec: VerdictRecord, format: str, timing: bool) -> list[str]:
     return buf.getvalue().split(hole)
 
 
-def report_lines(records, format: str, timing: bool = False) -> list[str]:
+def report_lines(sweep: Sweep, format: str, timing: bool = False) -> list[str]:
     """One line per record as record_row renders it, CSV after a header;
-    each distinct verdict is rendered once, around the coefficients."""
+    each distinct verdict is rendered once, around the row's coefficients."""
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown report format {format!r}")
-    extra = ("elapsed",) if timing else ()
-    fields = ("field_degree", "genus", "predictors") + VERDICT_FIELDS + extra
-    keys, first = _distinct(records, fields)
-    parts = {key: _fragments(r, format, timing) for key, r in first.items()}
-    coeffs = [coeffs_str(r.coeffs) for r in records]
+    parts = [_fragments(r, format, timing) for r, _ in sweep.tally()]
+    coeffs = sweep.coeffs
     lines = []
     if format == "csv":
         # coeffs_str writes digits, ':' and ',', and csv.writer quotes a cell for a ','
         coeffs = [f'"{c}"' if "," in c else c for c in coeffs]
-        lines = [",".join(COLUMNS + extra)]
-    return lines + [h + c + t for (h, t), c in zip(map(parts.__getitem__, keys), coeffs)]
+        lines = [",".join(COLUMNS + (("elapsed",) if timing else ()))]
+    lines += [h + c + t for (h, t), c in zip(map(parts.__getitem__, sweep.index.tolist()), coeffs)]
+    return lines

@@ -469,6 +469,9 @@ def _unpack(row: np.ndarray) -> np.ndarray:
 
 # bytes of packed trace words that curves_first_vertices XORs per chunk
 _CHUNK_BYTES = 1 << 19
+# bytes of the XOR tables curves_first_vertices holds for one m; past it
+# a table gets fewer bits, down to one
+_TABLE_BYTES = 1 << 23
 
 
 def _group_width(curves: int) -> int:
@@ -486,7 +489,8 @@ def curves_first_vertices(field_degree: int, dense) -> list[tuple[int, Fraction]
     _leader_rows for the set bits of its coefficients: through tables of
     the XORs of up to w = _group_width(curves) rows, built once per m, one
     lookup per w bits by a uint8 index per curve, for a chunk of curves of
-    about _CHUNK_BYTES at a time; bits set in no curve are skipped.  Then
+    about _CHUNK_BYTES at a time; bits set in no curve are skipped, and w
+    drops toward 1 while the tables of m = g pass _TABLE_BYTES.  Then
     S_m = 1 + sum over orbit sizes s of s * (leaders - 2 * set bits).
     """
     a = field_degree
@@ -500,6 +504,9 @@ def curves_first_vertices(field_degree: int, dense) -> list[tuple[int, Fraction]
     # curve's index into a group's table holds its bits of that group
     used = [(k, i) for k in range(width) for i in range(a) if (dense[:, k] >> i & 1).any()]
     w = _group_width(curves)
+    words = _orbit_leaders(a, a * g).mask.size  # the most of any m
+    while w > 1 and (-(-len(used) // w) << w) * 8 * words > _TABLE_BYTES:
+        w -= 1
     groups = [used[t : t + w] for t in range(0, len(used), w)]
     index = np.zeros((len(groups), curves), dtype=np.uint8)
     for t, group in enumerate(groups):

@@ -151,6 +151,44 @@ def reference_report_lines(records, format, timing=False):
     return buf.getvalue().splitlines()
 
 
+def reference_summary(records):
+    """summarize's counts, recounted one record at a time."""
+    agreements = disagreements = oracle_disagreements = absences = 0
+    for r in records:
+        flags = [r.agree_oracle_vss, r.agree_oracle_hasse, r.agree_vss_hasse]
+        ran = [f for f in flags if f is not None]
+        agreements += bool(ran) and all(ran)
+        disagreements += False in ran
+        oracle_disagreements += False in (r.agree_oracle_vss, r.agree_oracle_hasse)
+        vertices = {"oracle": r.oracle, "vss": r.vss, "hasse": r.hasse_vertex}
+        absences += any(vertices[p] is None for p in r.predictors)
+    return {
+        "total": len(records),
+        "agreements": agreements,
+        "disagreements": disagreements,
+        "oracle_disagreements": oracle_disagreements,
+        "absences": absences,
+    }
+
+
+def reference_frontier(records):
+    """frontier_summary's table, recounted one record at a time."""
+    table = {}
+    for r in records:
+        if r.hasse_case is None:
+            continue
+        columns = ("records", "fired", "oracle_agree", "oracle_disagree", "vss_agree", "vss_disagree")
+        row = table.setdefault(r.hasse_case, dict.fromkeys(columns, 0))
+        row["records"] += 1
+        if r.hasse_vertex is None:
+            continue
+        row["fired"] += 1
+        for a, flag in (("oracle", r.agree_oracle_hasse), ("vss", r.agree_vss_hasse)):
+            if flag is not None:
+                row[f"{a}_agree" if flag else f"{a}_disagree"] += 1
+    return dict(sorted(table.items()))
+
+
 def table_trace_bits(am, e, cbits):
     """Tr(c g^(j e)) for j = 0..2^am - 2, gathered from the field table."""
     tab = field_table(am)

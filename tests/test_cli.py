@@ -1,13 +1,16 @@
 import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import np2.cli
 import np2.modsolve
 import np2.sweep
 import np2.zeta
 from np2.cli import main
+from helpers import fresh_process
 from np2.field import TABLE_DEGREE_CAP
 
 
@@ -211,6 +214,52 @@ def test_sweep_writes_report(tmp_path, capsys):
     summary = json.loads(captured.err)
     assert summary["total"] == 8
     assert summary["disagreements"] == 0
+
+
+def test_failed_report_write_keeps_existing_reports(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "g3.jsonl"
+    frontier = tmp_path / "frontier.json"
+    out.write_text("old report\n")
+    frontier.write_text("old frontier\n")
+    out.chmod(0o640)
+    argv = ["sweep", "--q", "2", "--g", "3", "--exhaustive", "--out", str(out), "--frontier", str(frontier)]
+
+    def full_disk(*sweeps):
+        raise OSError(28, "No space left on device")
+
+    # the report is written in full before the frontier table fails
+    monkeypatch.setattr(np2.cli, "frontier_summary", full_disk)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 28] No space left on device\n" and captured.out == ""
+    assert out.read_text() == "old report\n" and frontier.read_text() == "old frontier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frontier.json", "g3.jsonl"]
+    monkeypatch.undo()
+    # a finished sweep renames its reports over the old ones, keeping their mode
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(out.read_text().splitlines()) == 8 and "T1-i" in json.loads(frontier.read_text())
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frontier.json", "g3.jsonl"]
+    # a symlinked report is written through, as opening it would
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(out)
+    out.write_text("old report\n")
+    assert main(argv[:-4] + ["--out", str(link)]) == 0
+    capsys.readouterr()
+    assert link.is_symlink() and len(out.read_text().splitlines()) == 8
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_genus16_sweep_memory(tmp_path):
+    # exhaustive F_2 genus 16 (65536 curves) with both reports, in a fresh
+    # process: the records are views of columns, not objects per curve
+    out, frontier = tmp_path / "g16.jsonl", tmp_path / "g16.frontier.json"
+    argv = ["sweep", "--q", "2", "--g", "16", "--exhaustive", "--out", str(out), "--frontier", str(frontier)]
+    code, tables, peak_kb = fresh_process(f"import np2.cli\nprint(np2.cli.main({argv!r}))\n")
+    assert code == "0" and tables == 0
+    assert sum(1 for _ in out.open()) == 1 << 16
+    assert peak_kb < 110 * 1024
 
 
 def test_sweep_random_csv(tmp_path, capsys):

@@ -1,17 +1,19 @@
 import hashlib
 import json
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import np2.zeta
-from helpers import fresh_process, reference_report_lines
+from helpers import fresh_process, reference_frontier, reference_report_lines, reference_summary
 from np2 import sweep
 from np2.sweep import (
     VERDICT_FIELDS,
+    Sweep,
     SweepSpec,
     VerdictRecord,
     dense_rows,
@@ -23,6 +25,7 @@ from np2.sweep import (
     random_draws,
     report_lines,
     run_sweep,
+    summarize,
 )
 from np2.zeta import CurvePoly
 
@@ -218,6 +221,32 @@ def test_family_oracle_builds_no_field_table():
     assert peak_kb < 100 * 1024
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, 2000])
+def test_one_bit_tables_match_per_curve(monkeypatch, chunk_bytes):
+    # with no room for tables every family drops to w = 1
+    monkeypatch.setattr(np2.zeta, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(np2.zeta, "_TABLE_BYTES", 0)
+    oracle = sweep.ROUTES["oracle"]
+    for spec, _ in CHUNK_FAMILIES:
+        assert oracle.family(spec, random_draws(spec)) == [oracle.run(f) for f in iter_curves(spec)], spec
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_wide_field_tables_are_bounded():
+    # 20 curves over F_{2^22}: one leader row is 0.5 MB, so tables of w = 4
+    # bits would hold 92 MB; under the byte cap they fall back to w = 1
+    spec = SweepSpec(22, 1, mode="random", seed=1, count=20)
+    out, tables, peak_kb = fresh_process(
+        "from np2.sweep import SweepSpec, random_draws\n"
+        "from np2.zeta import curves_first_vertices\n"
+        f"print([list(v) for v in curves_first_vertices(22, random_draws({spec!r}))])\n"
+    )
+    assert tables == 0
+    assert peak_kb < 160 * 1024
+    want = [list(np2.zeta.first_vertex(np2.zeta.newton_polygon_of_curve(f))) for f in iter_curves(spec)]
+    assert out == str(want)
+
+
 def test_random_family_needs_a_leading_coefficient():
     with pytest.raises(ValueError, match="leading"):
         np2.zeta.curves_first_vertices(1, [(1, 0, 1), (1, 1, 0)])
@@ -301,13 +330,15 @@ def test_jsonl_roundtrip():
 
 
 def test_csv_header_only_when_empty():
-    lines = report_lines([], "csv")
+    empty = Sweep(1, 3, sweep.PREDICTORS, 0.0, [], [], np.zeros(0, dtype=np.int32))
+    lines = report_lines(empty, "csv")
     assert lines == [
         "q,g,coeffs,predictors,oracle,vss,hasse_case,hasse_vertex,large_n_caveat,"
         "agree_oracle_vss,agree_oracle_hasse,agree_vss_hasse"
     ]
+    assert report_lines(empty, "jsonl") == []
     with pytest.raises(ValueError, match="format"):
-        report_lines([], "tsv")
+        report_lines(empty, "tsv")
 
 
 def test_report_digest_stable():
@@ -382,6 +413,37 @@ def test_sweep_runs_each_route_once_per_family(monkeypatch):
         records, _ = run_sweep(spec)
         assert calls == [(name, spec) for name in sweep.ROUTES]
         assert report_lines(records, "jsonl") == lines
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SweepSpec(1, 10, fixed=ID_FIX),
+        SweepSpec(2, 9, mode="random", seed=9, count=100),
+        SweepSpec(1, 8, predictors=("vss",)),
+    ],
+    ids=spec_id,
+)
+def test_sweep_views_match_per_curve(spec):
+    # the columnar sweep against the per-curve reference: each view is
+    # evaluate_curve's record, the reports are the per-record rendering,
+    # and the summaries are a per-record recount
+    s, summary = run_sweep(spec)
+    records = list(s)
+    assert len(records) == len(s) == len(list(dense_rows(spec)))
+    for rec, f in zip(records, iter_curves(spec)):
+        assert rec.elapsed == s.share
+        assert replace(rec, elapsed=None) == replace(evaluate_curve(f, spec.predictors), elapsed=None)
+    assert s[5] == records[5] and s[-1] == records[-1] and s[2:7] == records[2:7]
+    for fmt in ("jsonl", "csv"):
+        for timing in (False, True):
+            assert report_lines(s, fmt, timing) == reference_report_lines(records, fmt, timing), (fmt, timing)
+    want = reference_summary(records)
+    assert asdict(summary) == asdict(summarize(s)) == want
+    assert frontier_summary(s) == reference_frontier(records)
+    # pooled sweeps count as their records together
+    assert asdict(summarize(s, s)) == {k: 2 * v for k, v in want.items()}
+    assert frontier_summary(s, s) == reference_frontier(records + records)
 
 
 def _digest(lines):
