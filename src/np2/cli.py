@@ -227,6 +227,8 @@ def cmd_sweep(args) -> int:
         tuple(args.predictors.split(",")),
     )
     spec.validate()
+    if args.out and args.frontier and os.path.realpath(args.out) == os.path.realpath(args.frontier):
+        raise ValueError("--out and --frontier name the same file")
     # an unwritable path fails here, before any curve is evaluated; opening
     # to append truncates nothing, and the reports are renamed over these
     # paths only once they are written

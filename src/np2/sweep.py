@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product, repeat
@@ -309,7 +309,9 @@ class Sweep:
     that table per row.
 
     Indexing and iteration give a VerdictRecord view per row, built on
-    demand; every record's elapsed is share.
+    demand; every record's elapsed is share.  A slice is a Sweep of those
+    rows, and sweep + records is a Sweep of this family's rows followed by
+    the records' own, whatever their verdicts.
     """
 
     field_degree: int
@@ -325,8 +327,27 @@ class Sweep:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+            # only the verdicts the rows use are kept, so tallies count no empty one
+            used, index = np.unique(self.index[i], return_inverse=True)
+            verdicts = list(map(self.verdicts.__getitem__, used.tolist()))
+            return replace(self, rows=self.rows[i], verdicts=verdicts, index=index.astype(np.int32))
         return self._record(self.rows[i], self.verdicts[self.index[i]])
+
+    def __add__(self, records) -> Sweep:
+        """This sweep's rows followed by the records', each record with its
+        own verdict; records is a Sweep or VerdictRecords of this family."""
+        family = (self.field_degree, self.genus, self.predictors)
+        rows, verdicts = list(self.rows), list(self.verdicts)
+        for r in records:
+            if (r.field_degree, r.genus, r.predictors) != family:
+                raise ValueError("records of another family")
+            row = [0] * (self.genus + 1)
+            for e, c in r.coeffs:
+                row[e // 2] = c
+            rows.append(tuple(row))
+            verdicts.append(_verdicts_of(r))
+        index = np.concatenate([self.index, np.arange(len(self.verdicts), len(verdicts), dtype=np.int32)])
+        return replace(self, rows=rows, verdicts=verdicts, index=index)
 
     def __iter__(self):
         return map(self._record, self.rows, map(self.verdicts.__getitem__, self.index.tolist()))
@@ -352,12 +373,12 @@ class Sweep:
         return list(map("".join, zip(*reversed(columns))))
 
 
-def summarize(*sweeps: Sweep) -> SweepSummary:
-    """The summary of one sweep, or of several pooled."""
+def summarize(sweep: Sweep) -> SweepSummary:
+    """The summary of a sweep."""
     reference = PREDICTORS[0]
     against_reference = [flag for flag, (a, _) in AGREEMENTS.items() if a == reference]
     agreements = disagreements = reference_dis = absences = 0
-    for r, count in chain.from_iterable(s.tally() for s in sweeps):
+    for r, count in sweep.tally():
         flags = [getattr(r, flag) for flag in AGREEMENTS]
         ran = [f for f in flags if f is not None]
         if ran and all(ran):
@@ -371,8 +392,7 @@ def summarize(*sweeps: Sweep) -> SweepSummary:
             for name, route in ROUTES.items()
         ):
             absences += count
-    total = sum(map(len, sweeps))
-    return SweepSummary(total, agreements, disagreements, reference_dis, absences)
+    return SweepSummary(len(sweep), agreements, disagreements, reference_dis, absences)
 
 
 def run_sweep(spec: SweepSpec) -> tuple[Sweep, SweepSummary]:

@@ -248,6 +248,12 @@ def test_failed_report_write_keeps_existing_reports(tmp_path, capsys, monkeypatc
     assert main(argv[:-4] + ["--out", str(link)]) == 0
     capsys.readouterr()
     assert link.is_symlink() and len(out.read_text().splitlines()) == 8
+    # two reports in one file are refused before any curve runs
+    for same in (str(out), str(tmp_path / "." / "g3.jsonl"), str(link)):
+        assert main(argv[:-2] + ["--frontier", same]) == 3
+        assert capsys.readouterr().err == "error: --out and --frontier name the same file\n"
+        assert len(out.read_text().splitlines()) == 8
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frontier.json", "g3.jsonl", "link.jsonl"]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

@@ -434,7 +434,7 @@ def test_sweep_views_match_per_curve(spec):
     for rec, f in zip(records, iter_curves(spec)):
         assert rec.elapsed == s.share
         assert replace(rec, elapsed=None) == replace(evaluate_curve(f, spec.predictors), elapsed=None)
-    assert s[5] == records[5] and s[-1] == records[-1] and s[2:7] == records[2:7]
+    assert s[5] == records[5] and s[-1] == records[-1] and list(s[2:7]) == records[2:7]
     for fmt in ("jsonl", "csv"):
         for timing in (False, True):
             assert report_lines(s, fmt, timing) == reference_report_lines(records, fmt, timing), (fmt, timing)
@@ -442,8 +442,23 @@ def test_sweep_views_match_per_curve(spec):
     assert asdict(summary) == asdict(summarize(s)) == want
     assert frontier_summary(s) == reference_frontier(records)
     # pooled sweeps count as their records together
-    assert asdict(summarize(s, s)) == {k: 2 * v for k, v in want.items()}
     assert frontier_summary(s, s) == reference_frontier(records + records)
+    # a slice keeps only the verdicts of its rows, and records added to a
+    # sweep keep their own verdicts, as the benchmark's corrupted report does
+    i = len(records) // 2
+    bad = replace(records[i], oracle=(99, Fraction(1)), agree_oracle_hasse=False)
+    spliced = s[:i] + [bad] + s[i + 1 :]
+    assert list(spliced) == [*records[:i], bad, *records[i + 1 :]]
+    for part in (s[:i], s[i:], s[i : i + 1], s[:0], spliced):
+        rows = list(part)
+        if part is not spliced:
+            assert len(part.verdicts) == len(set(part.index.tolist()))
+        for fmt in ("jsonl", "csv"):
+            assert report_lines(part, fmt) == reference_report_lines(rows, fmt, False)
+        assert asdict(summarize(part)) == reference_summary(rows)
+        assert frontier_summary(part) == reference_frontier(rows)
+    with pytest.raises(ValueError, match="another family"):
+        s + [replace(bad, genus=bad.genus + 1)]
 
 
 def _digest(lines):
