@@ -229,13 +229,6 @@ def cmd_sweep(args) -> int:
     spec.validate()
     if args.out and args.frontier and os.path.realpath(args.out) == os.path.realpath(args.frontier):
         raise ValueError("--out and --frontier name the same file")
-    # an unwritable path fails here, before any curve is evaluated; opening
-    # to append truncates nothing, and the reports are renamed over these
-    # paths only once they are written
-    for path in (args.out, args.frontier):
-        if path:
-            open(path, "a").close()
-    sweep, summary = run_sweep(spec)
 
     def write_report(fh):
         fh.writelines(line + "\n" for line in report_lines(sweep, args.format, args.timing))
@@ -244,14 +237,26 @@ def cmd_sweep(args) -> int:
         json.dump(frontier_summary(sweep), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    writers = {}
-    if args.out:
-        writers[args.out] = write_report
-    else:
-        write_report(sys.stdout)
-    if args.frontier:
-        writers[args.frontier] = write_frontier
-    _write_atomically(writers)
+    # an unwritable path fails here, before any curve is evaluated; opening
+    # to append truncates nothing, and the reports are renamed over these
+    # paths only once they are written.  A file this open creates has the
+    # umask's mode, which the report keeps; it is removed if the sweep fails.
+    created = []
+    try:
+        for path in filter(None, (args.out, args.frontier)):
+            new = not os.path.exists(path)
+            open(path, "a").close()
+            if new:
+                created.append(os.path.realpath(path))
+        sweep, summary = run_sweep(spec)
+        if not args.out:
+            write_report(sys.stdout)
+        _write_atomically({p: w for p, w in ((args.out, write_report), (args.frontier, write_frontier)) if p})
+    except BaseException:
+        for path in created:
+            with suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     print(json.dumps(asdict(summary), sort_keys=True), file=sys.stderr)
     if summary.oracle_disagreements and not args.expect_frontier:
         return 2

@@ -49,16 +49,17 @@ class Route:
 
     run(f) returns the values of fields in order; vertex names the field
     that holds the first vertex, None where the route gives no verdict.
-    family(spec, rows) returns run's values for every curve of a family,
-    rows = list(dense_rows(spec)), in report order, equal values as one
-    object (run_sweep keys verdicts by identity).  run stays the
-    reference that family is tested against, and the single-curve path.
+    family(spec, rows), rows = list(dense_rows(spec)), returns run's
+    values over a family as columns (values, index): values holds each
+    distinct value once, and index gives each row's value, in report
+    order.  run stays the reference that family is tested against, and
+    the single-curve path.
     """
 
     fields: tuple[str, ...]
     vertex: str
     run: Callable[[CurvePoly], tuple]
-    family: Callable[[SweepSpec, list[tuple[int, ...]]], list[tuple]]
+    family: Callable[[SweepSpec, list[tuple[int, ...]]], tuple[list[tuple], np.ndarray]]
 
 
 # The routes look the predictors up in this module when they run, so a
@@ -67,21 +68,19 @@ def _by_counting(f: CurvePoly) -> tuple:
     return (first_vertex(newton_polygon_of_curve(f)),)
 
 
-def _family_by_counting(spec: SweepSpec, rows) -> list[tuple]:
+def _family_by_counting(spec: SweepSpec, rows) -> tuple[list[tuple], np.ndarray]:
     if spec.mode == "exhaustive":
-        vertices = family_first_vertices(spec.field_degree, spec.genus, spec.fixed)
+        vertices, index = family_first_vertices(spec.field_degree, spec.genus, spec.fixed)
     else:
-        vertices = curves_first_vertices(spec.field_degree, rows)
-    # equal vertices come as one object, and so do their values here
-    values = {id(v): (v,) for v in vertices}
-    return [values[id(v)] for v in vertices]
+        vertices, index = curves_first_vertices(spec.field_degree, rows)
+    return [(v,) for v in vertices], index
 
 
 def _by_rank(f: CurvePoly) -> tuple:
     return (predict_first_vertex(f),)
 
 
-def _family_by_rank(spec: SweepSpec, rows) -> list[tuple]:
+def _family_by_rank(spec: SweepSpec, rows) -> tuple[list[tuple], np.ndarray]:
     return _per_key(_by_rank, spec.field_degree, rows, rank_keys(2 * spec.genus + 1, rows))
 
 
@@ -92,21 +91,21 @@ def _by_case_ladder(f: CurvePoly) -> tuple:
     return (case.case_id, case.vertex, case.large_n_caveat)
 
 
-def _family_by_case_ladder(spec: SweepSpec, rows) -> list[tuple]:
+def _family_by_case_ladder(spec: SweepSpec, rows) -> tuple[list[tuple], np.ndarray]:
     # one exponent gives a bare coefficient, which keys as well as a tuple
     exps = read_exponents(spec.genus) if spec.genus >= MIN_GENUS else ()
     keys = list(map(itemgetter(*((e - 1) // 2 for e in exps)), rows)) if exps else [()] * len(rows)
     return _per_key(_by_case_ladder, spec.field_degree, rows, keys)
 
 
-def _per_key(run, field_degree: int, rows, keys) -> list[tuple]:
-    """run's values for every row, run once per distinct key; equal values come as one object."""
-    values, shared = {}, {}
+def _per_key(run, field_degree: int, rows, keys) -> tuple[list[tuple], np.ndarray]:
+    """run's distinct values over the rows and each row's index into them;
+    run runs once per distinct key, on its first row."""
+    number, of_key = {}, {}  # value -> its index; key -> its value's index
     for row, key in zip(rows, keys):
-        if key not in values:
-            value = run(CurvePoly(field_degree, _sparse(row)))
-            values[key] = shared.setdefault(value, value)
-    return [values[key] for key in keys]
+        if key not in of_key:
+            of_key[key] = number.setdefault(run(CurvePoly(field_degree, _sparse(row))), len(number))
+    return list(number), np.fromiter(map(of_key.__getitem__, keys), dtype=np.int32, count=len(keys))
 
 
 # Every list of routes, record fields and report columns derives from
@@ -401,18 +400,20 @@ def run_sweep(spec: SweepSpec) -> tuple[Sweep, SweepSummary]:
     each record's elapsed is an equal share."""
     t0 = time.perf_counter()
     rows = list(dense_rows(spec))
+    absent = np.zeros(len(rows), dtype=np.int32)
     columns = [
-        r.family(spec, rows) if n in spec.predictors else [(None,) * len(r.fields)] * len(rows)
+        r.family(spec, rows) if n in spec.predictors else ([(None,) * len(r.fields)], absent)
         for n, r in ROUTES.items()
     ]
-    # equal values come as one object, so identities key the verdicts
-    keys = list(zip(*(map(id, column) for column in columns)))
-    row_of = dict(zip(keys, range(len(keys))))  # a row of each distinct key
-    number = dict(zip(row_of, range(len(row_of))))
-    index = np.fromiter(map(number.__getitem__, keys), dtype=np.int32, count=len(keys))
-    verdicts = [_verdict([column[i] for column in columns]) for i in row_of.values()]
+    # each row's combination of route values as one number; a verdict per combination used
+    dims = [len(values) for values, _ in columns]
+    used, index = np.unique(np.ravel_multi_index([i for _, i in columns], dims), return_inverse=True)
+    verdicts = [
+        _verdict([values[i] for (values, _), i in zip(columns, combo)])
+        for combo in zip(*np.unravel_index(used, dims))
+    ]
     share = (time.perf_counter() - t0) / len(rows)
-    sweep = Sweep(spec.field_degree, spec.genus, spec.predictors, share, rows, verdicts, index)
+    sweep = Sweep(spec.field_degree, spec.genus, spec.predictors, share, rows, verdicts, index.astype(np.int32))
     return sweep, summarize(sweep)
 
 

@@ -193,13 +193,7 @@ def _marks(deg: int) -> tuple[int, ...]:
 def effective_exponent_set(f: CurvePoly) -> tuple[int, ...]:
     """Odd exponents up to deg f, with the distinguished exponents
     removed when their coefficients vanish."""
-    return _exponent_set(f.deg, tuple(e for e in _marks(f.deg) if f.coeff(e) == 0))
-
-
-@lru_cache(maxsize=None)
-def _exponent_set(deg: int, strip: tuple[int, ...]) -> tuple[int, ...]:
-    # at most four strip tuples per degree, so each set is built once
-    return odds_up_to(deg, exclude=strip)
+    return odds_up_to(f.deg, exclude=[e for e in _marks(f.deg) if f.coeff(e) == 0])
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +213,7 @@ def rank_keys(deg: int, rows) -> list[tuple]:
     by_marks = {}  # coefficients at the marks -> (strip, getter of the coefficients at the jumps)
     for values in dict.fromkeys(map(at_marks, rows)):
         strip = tuple(e for e, c in zip(marks, values) if c == 0)
-        jumps = _frame(_exponent_set(deg, strip)).jumps
+        jumps = _frame(odds_up_to(deg, exclude=strip)).jumps
         # one jump gives a bare coefficient, which keys as well as a tuple
         by_marks[values] = strip, itemgetter(*((d - 1) // 2 for d in jumps))
     found = map(by_marks.__getitem__, map(at_marks, rows))
@@ -237,8 +231,7 @@ class VssReport:
 
 
 def vss_report(f: CurvePoly) -> VssReport:
-    frame = _frame(effective_exponent_set(f))
-    M = frame.matrix(f)
+    M = build_matrix(_frame(effective_exponent_set(f)).solutions, f)
     d = vss_dim(M)
     if d > 0:
         return VssReport(M, d, (d, M.density * d), None)
@@ -248,6 +241,4 @@ def vss_report(f: CurvePoly) -> VssReport:
 def predict_first_vertex(f: CurvePoly) -> tuple[int, Fraction] | None:
     """First Newton polygon vertex per the stable image, or None when
     the dimension vanishes (first slope strictly above the density)."""
-    frame = _frame(effective_exponent_set(f))
-    d = vss_dim(build_matrix(frame.solutions, f))
-    return (d, frame.density * d) if d else None
+    return vss_report(f).vertex

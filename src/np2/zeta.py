@@ -287,11 +287,6 @@ class _Orbits:
     leaders: np.ndarray
     mask: np.ndarray
 
-    def segments(self):
-        """(size, leaders) of every segment."""
-        for s, c, lo in zip(self.sizes, self.counts, self.bounds):
-            yield s, self.leaders[64 * lo : 64 * lo + c]
-
 
 # candidates, and leaders, per block of the leader search and of a leader
 # row, to bound their scratch memory; a multiple of 64
@@ -404,15 +399,18 @@ def _leader_rows(a: int, am: int, e: int) -> np.ndarray:
     return rows
 
 
-def family_first_vertices(field_degree: int, genus: int, fixed=()) -> list[tuple[int, Fraction]]:
+def family_first_vertices(
+    field_degree: int, genus: int, fixed=()
+) -> tuple[list[tuple[int, Fraction]], np.ndarray]:
     """First vertex of every curve of a family, one Walsh-Hadamard transform per m.
 
     The family is every f of degree 2g + 1 over F_{2^a} whose coefficients
     at the exponents of fixed, (exponent, bits) pairs, are those bits; the
     other coefficients run over F_{2^a}, a free leading one over its
-    nonzero elements.  Vertices come in ascending order of the dense
-    coefficient tuple (c_1, c_3, ..., c_{2g+1}), as first_vertex(
-    newton_polygon_of_curve(f)) would give them.
+    nonzero elements.  Returns the family's distinct vertices, ascending,
+    each as first_vertex(newton_polygon_of_curve(f)) would give it, and an
+    index into them per curve, in ascending order of the dense coefficient
+    tuple (c_1, c_3, ..., c_{2g+1}).
 
     A curve's index concatenates the bits of its free coefficients, the
     lowest exponent most significant.  Tr(c x^e) is F_2-linear in the bits
@@ -480,8 +478,9 @@ def _group_width(curves: int) -> int:
     return max(1, min(4, curves.bit_length() - 1))
 
 
-def curves_first_vertices(field_degree: int, dense) -> list[tuple[int, Fraction]]:
-    """First vertex of each curve of a list, in its order.
+def curves_first_vertices(field_degree: int, dense) -> tuple[list[tuple[int, Fraction]], np.ndarray]:
+    """The distinct first vertices of a list of curves, ascending, and an
+    index into them per curve, in the list's order.
 
     dense holds one row (c_1, c_3, ..., c_{2g+1}) per curve over
     F_{2^a}, every last entry nonzero, so all curves have genus g.  For
@@ -538,8 +537,9 @@ def curves_first_vertices(field_degree: int, dense) -> list[tuple[int, Fraction]
     return _first_vertices(a, g, sums)
 
 
-def _first_vertices(a: int, g: int, sums) -> list[tuple[int, Fraction]]:
-    """First vertex of each curve from its sums: sums[m - 1] holds S_m of
+def _first_vertices(a: int, g: int, sums) -> tuple[list[tuple[int, Fraction]], np.ndarray]:
+    """The distinct first vertices of the curves, ascending, and each
+    curve's index into them, from their sums: sums[m - 1] holds S_m of
     every curve, m = 1..g.
 
     The recurrence for a_1..a_g runs over all curves as int64 arrays, and
@@ -569,13 +569,11 @@ def _first_vertices(a: int, g: int, sums) -> list[tuple[int, Fraction]]:
         better = (vk * best_k < best_v * k) & (x != 0)
         best_k[better] = k
         best_v[better] = vk[better]
-    vertex = {}
-    out = []
-    for key in zip(best_k.tolist(), best_v.tolist()):
-        if key not in vertex:
-            vertex[key] = (key[0], Fraction(key[1], a))
-        out.append(vertex[key])
-    return out
+    # the slope best_v / best_k only falls from a / 2, so best_v <= a g and
+    # k (a g + 1) + v numbers the vertices in (k, v) order
+    keys, index = np.unique(best_k * (a * g + 1) + best_v, return_inverse=True)
+    ks, vs = np.divmod(keys, a * g + 1)
+    return [(k, Fraction(v, a)) for k, v in zip(ks.tolist(), vs.tolist())], index
 
 
 def _walsh_hadamard(c: np.ndarray) -> None:

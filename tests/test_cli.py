@@ -1,4 +1,5 @@
 import json
+import os
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -193,6 +194,33 @@ def test_refused_sweep_keeps_an_existing_report(tmp_path, capsys):
     assert out.read_text() == "old\n"
     # without the oracle the same family is a valid sweep
     np2.sweep.SweepSpec(2, 12, "random", count=1, predictors=("vss", "hasse")).validate()
+
+
+def test_failed_sweep_leaves_no_new_report(tmp_path, capsys, monkeypatch):
+    # the reports are opened, so created, before the sweep runs; a sweep
+    # refused after that removes the files it created and no other
+    out, frontier = tmp_path / "new.jsonl", tmp_path / "frontier.json"
+    frontier.write_text("old frontier\n")
+    argv = ["sweep", "--q", "2", "--g", "3", "--out", str(out), "--frontier", str(frontier)]
+
+    def refused(spec):
+        assert out.exists()
+        raise ValueError("refused")
+
+    monkeypatch.setattr(np2.cli, "run_sweep", refused)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: refused\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frontier.json"]
+    assert frontier.read_text() == "old frontier\n"
+    monkeypatch.undo()
+    # a new report has the mode that opening it gave, not a temporary file's
+    umask = os.umask(0o027)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(umask)
+    capsys.readouterr()
+    assert out.stat().st_mode & 0o777 == 0o640 and len(out.read_text().splitlines()) == 8
 
 
 def test_sweep_writes_report(tmp_path, capsys):

@@ -40,6 +40,13 @@ G22_FREE = (3, 11, 29, 41)
 G22_FIX = tuple((e, 1 if e == 45 else 0) for e in range(1, 46, 2) if e not in G22_FREE)
 
 
+def expand(columns):
+    """A route's family columns (values, index) as one value per row."""
+    values, index = columns
+    assert len(set(values)) == len(values), "a value repeats"
+    return [values[i] for i in index.tolist()]
+
+
 def dense_keys(curves, g):
     # the report order key: (c_1, c_3, ..., c_{2g+1})
     return [tuple(f.coeff(e) for e in range(1, 2 * g + 2, 2)) for f in curves]
@@ -157,7 +164,7 @@ def test_family_oracle_matches_per_curve(spec):
     # the same-route reference: one curve at a time, in iter_curves order
     oracle = sweep.ROUTES["oracle"]
     curves = list(iter_curves(spec))
-    assert oracle.family(spec, random_draws(spec)) == [oracle.run(f) for f in curves]
+    assert expand(oracle.family(spec, random_draws(spec))) == [oracle.run(f) for f in curves]
 
 
 @pytest.mark.parametrize("spec", [*FAMILIES, SweepSpec(1, 10, fixed=ID_FIX)], ids=spec_id)
@@ -168,7 +175,14 @@ def test_family_routes_match_per_curve(spec):
     curves = list(iter_curves(spec))
     for name in ("vss", "hasse"):
         route = sweep.ROUTES[name]
-        assert route.family(spec, rows) == [route.run(f) for f in curves], name
+        assert expand(route.family(spec, rows)) == [route.run(f) for f in curves], name
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=spec_id)
+def test_sweep_verdicts_are_distinct(spec):
+    # one verdict per combination of route values some row has
+    s, _ = run_sweep(spec)
+    assert len(set(s.verdicts)) == len(s.verdicts) == len(set(s.index.tolist()))
 
 
 def test_random_family_has_duplicates():
@@ -197,7 +211,7 @@ def test_random_family_chunks_match_per_curve(monkeypatch, chunk_bytes):
         used = sum(any(c >> i & 1 for c in col) for col in zip(*draws) for i in range(spec.field_degree))
         assert np2.zeta._group_width(spec.count) == w
         assert w == 1 or used % w, (spec, used)
-        assert oracle.family(spec, draws) == [oracle.run(f) for f in iter_curves(spec)], spec
+        assert expand(oracle.family(spec, draws)) == [oracle.run(f) for f in iter_curves(spec)], spec
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
@@ -208,13 +222,13 @@ def test_family_oracle_builds_no_field_table():
         "from np2.sweep import ROUTES, SweepSpec, random_draws\n"
         "for spec in (SweepSpec(1, 8), SweepSpec(2, 10, mode='random', seed=10, count=100),\n"
         "             SweepSpec(5, 4, mode='random', seed=4, count=200)):\n"
-        "    print(len(ROUTES['oracle'].family(spec, random_draws(spec))))\n"
+        "    print(len(ROUTES['oracle'].family(spec, random_draws(spec))[1]))\n"
     )
     assert counts.split() == ["256", "100", "200"]
     assert tables == 0
     count, tables, peak_kb = fresh_process(
         "from np2.sweep import ROUTES, SweepSpec\n"
-        f"print(len(ROUTES['oracle'].family(SweepSpec(1, 22, fixed={G22_FIX!r}), None)))\n"
+        f"print(len(ROUTES['oracle'].family(SweepSpec(1, 22, fixed={G22_FIX!r}), None)[1]))\n"
     )
     assert count == "16"
     assert tables == 0
@@ -228,7 +242,7 @@ def test_one_bit_tables_match_per_curve(monkeypatch, chunk_bytes):
     monkeypatch.setattr(np2.zeta, "_TABLE_BYTES", 0)
     oracle = sweep.ROUTES["oracle"]
     for spec, _ in CHUNK_FAMILIES:
-        assert oracle.family(spec, random_draws(spec)) == [oracle.run(f) for f in iter_curves(spec)], spec
+        assert expand(oracle.family(spec, random_draws(spec))) == [oracle.run(f) for f in iter_curves(spec)], spec
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
@@ -239,7 +253,8 @@ def test_wide_field_tables_are_bounded():
     out, tables, peak_kb = fresh_process(
         "from np2.sweep import SweepSpec, random_draws\n"
         "from np2.zeta import curves_first_vertices\n"
-        f"print([list(v) for v in curves_first_vertices(22, random_draws({spec!r}))])\n"
+        f"vertices, index = curves_first_vertices(22, random_draws({spec!r}))\n"
+        "print([list(vertices[i]) for i in index])\n"
     )
     assert tables == 0
     assert peak_kb < 160 * 1024

@@ -202,18 +202,19 @@ def test_effective_exponent_set_matches_per_curve_build():
 
 
 def test_rank_route_builds_each_exponent_set_once(monkeypatch):
-    np2.vss._exponent_set.cache_clear()
+    # the frame of each exponent set, and so its solutions, is built once
+    np2.vss._frame.cache_clear()
     calls = []
 
-    def counted(n, exclude=()):
-        calls.append((n, tuple(exclude)))
-        return odds_up_to(n, exclude)
+    def counted(D):
+        calls.append(D)
+        return minimal_irreducible_solutions(D)
 
-    monkeypatch.setattr(np2.vss, "odds_up_to", counted)
+    monkeypatch.setattr(np2.vss, "minimal_irreducible_solutions", counted)
     records, _ = run_sweep(SweepSpec(1, 12, predictors=("vss",)))
     assert len(records) == 4096
     # at degree 25, D keeps or drops t1 = 15; t2 plays no part
-    assert sorted(calls) == [(25, ()), (25, (15,))]
+    assert sorted(calls) == [odds_up_to(25), odds_up_to(25, (15,))]
 
 
 def test_predict_frozen_examples():
@@ -456,6 +457,7 @@ def test_sweep_builds_one_matrix_per_distinct_matrix(monkeypatch):
     monkeypatch.setattr(np2.vss, "build_matrix", counted)
     spec = SweepSpec(1, 10, predictors=("vss",))
     records, _ = run_sweep(spec)
+    monkeypatch.undo()  # vss_report builds its matrix through build_matrix too
     seen = {(r.matrix.sigma, r.matrix.entries) for r in map(vss_report, iter_curves(spec))}
     assert len(built) == len(seen) < len(records) == 1024
     assert set(built) == seen

@@ -207,7 +207,10 @@ def test_orbit_leaders(a, am):
     n = (1 << am) - 1
     m = am // a
     orbits = _orbit_leaders(a, am)
-    segments = list(orbits.segments())
+    segments = [
+        (s, orbits.leaders[64 * lo : 64 * lo + c])
+        for s, c, lo in zip(orbits.sizes, orbits.counts, orbits.bounds)
+    ]
     assert sum(s * len(lead) for s, lead in segments) == n
     assert [s for s, _ in segments] == sorted({s for s, _ in segments})
     for s, lead in segments:
