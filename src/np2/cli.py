@@ -2,6 +2,14 @@
 
 Exit codes: 0 clean, 2 oracle-vs-predictor disagreement (or selftest
 failure), 3 bad arguments, unsatisfiable request or unwritable report.
+
+A call that starts with a command name is parsed by a parser of that
+command alone, built from COMMANDS.  Whatever that parser refuses (-h, an
+abbreviation of --help, a missing, unknown, extra or malformed argument)
+is parsed again by the full parser of build_parser, which prints the help
+or the error and exits (0 for help, 3 for an error).  So a well-formed call
+never builds the full parser, and only the full parser writes help and
+error text.
 """
 
 from __future__ import annotations
@@ -99,6 +107,8 @@ def _emit(obj) -> None:
 def _exponent_set(args) -> tuple[int, ...]:
     # modsolve checks that every exponent is odd and positive
     if args.set is not None:
+        if args.max is not None or args.exclude is not None:
+            raise ValueError("--set takes no --max or --exclude")
         return tuple(sorted(set(args.set)))
     if args.max is None:
         raise ValueError("give either --set or --max")
@@ -345,30 +355,18 @@ def _add_curve_args(p):
     )
 
 
+def _add_zeta_args(p):
+    _add_curve_args(p)
+    p.add_argument("--full", action="store_true", help="compute all coefficients and verify")
+
+
 def _add_set_args(p):
     p.add_argument("--set", type=_ints_arg, help="explicit exponent set, comma list")
     p.add_argument("--max", type=int, help="odd exponents up to this bound")
     p.add_argument("--exclude", type=_ints_arg, help="exponents to drop from --max")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="np2", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("zeta", help="L-polynomial coefficients")
-    _add_curve_args(p)
-    p.add_argument("--full", action="store_true", help="compute all coefficients and verify")
-    p.set_defaults(func=cmd_zeta)
-
-    p = sub.add_parser("np", help="Newton polygon vertices")
-    _add_curve_args(p)
-    p.set_defaults(func=cmd_np)
-
-    p = sub.add_parser("density", help="2-density of an exponent set")
-    _add_set_args(p)
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("minimal", help="minimal irreducible solutions")
+def _add_minimal_args(p):
     _add_set_args(p)
     p.add_argument(
         "--target",
@@ -378,17 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         "density, and only as far above it as no solution can spend more than the "
         "fewest exponents on a column",
     )
-    p.set_defaults(func=cmd_minimal)
 
-    p = sub.add_parser("vss", help="stable-image first-vertex prediction")
-    _add_curve_args(p)
-    p.set_defaults(func=cmd_vss)
 
-    p = sub.add_parser("classify", help="coefficient case ladder")
-    _add_curve_args(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("sweep", help="run predictors over a curve family")
+def _add_sweep_args(p):
     p.add_argument("--q", type=_q_arg, required=True)
     p.add_argument("--g", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
@@ -403,16 +393,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frontier", default=None, help="write per-case agreement table here")
     p.add_argument("--timing", action="store_true", help="include wall time (breaks digest stability)")
     p.add_argument("--expect-frontier", action="store_true", help="disagreements do not fail the run")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("selftest", help="frozen-value and small-sweep checks")
-    p.set_defaults(func=cmd_selftest)
 
+# name -> (help, function adding its arguments, function running it), in help order
+COMMANDS = {
+    "zeta": ("L-polynomial coefficients", _add_zeta_args, cmd_zeta),
+    "np": ("Newton polygon vertices", _add_curve_args, cmd_np),
+    "density": ("2-density of an exponent set", _add_set_args, cmd_density),
+    "minimal": ("minimal irreducible solutions", _add_minimal_args, cmd_minimal),
+    "vss": ("stable-image first-vertex prediction", _add_curve_args, cmd_vss),
+    "classify": ("coefficient case ladder", _add_curve_args, cmd_classify),
+    "sweep": ("run predictors over a curve family", _add_sweep_args, cmd_sweep),
+    "selftest": ("frozen-value and small-sweep checks", lambda p: None, cmd_selftest),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # the help text is the module docstring without its last paragraph, on parsing
+    parser = _Parser(prog="np2", description=__doc__ and __doc__.rpartition("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_args, func) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
+class _Refused(Exception):
+    pass
+
+
+class _CommandParser(argparse.ArgumentParser):
+    # refusals are reported by the full parser, which parses the call again
+    def error(self, message):
+        raise _Refused
+
+
+def _parse_command(name: str, argv: list[str]):
+    """argv parsed by the parser of command `name` alone, or None where it
+    refuses them, help included (it has no -h)."""
+    _, add_args, func = COMMANDS[name]
+    p = _CommandParser(prog=f"np2 {name}", add_help=False)
+    add_args(p)
+    p.set_defaults(command=name, func=func)
+    try:
+        return p.parse_args(argv)
+    except _Refused:
+        return None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_command(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as e:

@@ -254,18 +254,25 @@ def _edges(D, bound: int, lam: Fraction):
     """The support graph on the states 1..bound as flat arrays src, dst and
     cost, sorted by dst, with the fewest exponents per c from a 0/1
     min-count knapsack."""
+
+    def check(total: int, at_least: str = "") -> None:
+        if total > EDGE_CAP:
+            raise ValueError(
+                f"the support graph of {_set_str(D)} up to density {lam} has {at_least}{total} "
+                f"edges on the states 1..{bound}, more than {EDGE_CAP}"
+            )
+
+    # the edges into v come from (v + c) / 2 for each c of v's parity up to 2 bound - v;
+    # c = 0 and each exponent below 2 bound are among the knapsack's c, so their
+    # edges alone can refuse a graph before the knapsack's |D| * 2 bound steps
+    check(sum((min(bound, 2 * bound - c) + c % 2) // 2 for c in (0, *D) if c < 2 * bound), "at least ")
     fewest = np.full(min(2 * bound, sum(D) + 1), len(D) + 1)
     fewest[0] = 0
     for d in D:
         fewest[d:] = np.minimum(fewest[d:], fewest[:-d] + 1)
     c = np.flatnonzero(fewest <= len(D))
-    # the edges into v come from (v + c) / 2 for each c of v's parity up to 2 bound - v
     total = int(((np.minimum(bound, 2 * bound - c) + c % 2) // 2).sum())
-    if total > EDGE_CAP:
-        raise ValueError(
-            f"the support graph of {_set_str(D)} up to density {lam} has {total} edges on the "
-            f"states 1..{bound}, more than {EDGE_CAP}"
-        )
+    check(total)
     v = np.arange(1, bound + 1)
     parity = [c[c % 2 == 0], c[c % 2 == 1]]
     count = np.where(v % 2, *(np.searchsorted(cp, 2 * bound - v, "right") for cp in parity[::-1]))

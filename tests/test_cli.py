@@ -110,6 +110,15 @@ def test_minimal_subcommand(capsys):
     assert all(c["density"] == "2/7" for c in obj["classes"])
 
 
+@pytest.mark.parametrize("command", ["density", "minimal"])
+@pytest.mark.parametrize("extra", [["--max", "5"], ["--exclude", "3"], ["--max=5", "--exclude=3"]])
+def test_set_refuses_max_and_exclude(capsys, command, extra):
+    # --set used to win silently over --max, and --exclude next to it was dropped
+    assert main([command, "--set", "1,3", *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: --set takes no --max or --exclude\n" and captured.out == ""
+
+
 def test_spec_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--q", "3", "--g", "2"])
@@ -337,3 +346,111 @@ def test_refusal_abbreviates_a_long_exponent_set(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err.encode()) < 200
     assert "(1, 3, 5, ..., 997, 999, 1001; 501 exponents in 1..1001)" in err
+
+
+# calls the parser of their command alone accepts
+ACCEPTED = [
+    ["zeta", "--q", "2", "--coeffs", "7:1,5:1"],
+    ["zeta", "--q=2^1", "--coeffs", "3:1", "--fu"],
+    ["np", "--q", "4", "--coeffs=7:1,3:2"],
+    ["density", "--max", "13"],
+    ["density", "--ma", "29", "--ex", "15"],
+    ["density", "--max", "13", "--exclude", "-3"],
+    ["density", "--max=13", "--exclude=-3,5"],
+    ["density", "--set", "3,47"],
+    ["density"],
+    ["minimal", "--max", "29", "--exclude", "15", "--target", "2/7"],
+    ["minimal", "--set", "1,3", "--target=-1/2"],
+    ["minimal", "--max", "13", "--max", "15"],
+    ["vss", "--coeffs", "13:1,11:1", "--q", "2^1"],
+    ["classify", "--q", "2", "--c", "29:1,23:1"],
+    ["sweep", "--q", "2", "--g", "3"],
+    ["sweep", "--q", "2", "--g", "3", "--exh", "--pred=oracle,vss"],
+    [
+        "sweep", "--q", "2", "--g", "-1", "--random", "--seed", "-5", "--count", "3", "--fix", "5:1",
+        "--predictors", "vss", "--out", "r.csv", "--format", "csv", "--frontier", "f.json",
+        "--timing", "--expect-frontier",
+    ],
+    ["selftest"],
+]
+
+# calls it refuses, so that the full parser prints help or an error and exits
+REFUSED = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-x"],
+    ["frob"],
+    ["density", "-h"],
+    ["density", "--he"],
+    ["sweep", "--help"],
+    ["selftest", "-h"],
+    ["sweep", "-h", "--q", "2"],
+    ["density", "--max", "13", "-h"],
+    ["sweep", "--q", "2", "--g", "3", "--out", "-h"],
+    ["sweep", "--q", "2", "--g", "3", "--exhaustive", "--random"],
+    ["sweep", "--q", "2", "--g", "3", "--e"],
+    ["sweep", "--q", "2", "--g", "3", "--format", "xml"],
+    ["vss", "--q", "3", "--coeffs", "7:1"],
+    ["vss", "--q", "2"],
+    ["np", "--q", "2", "--coeffs", "7"],
+    ["density", "--max", "13", "extra"],
+    ["density", "--max", "x"],
+    ["density", "--bogus"],
+    ["density", "--max"],
+    ["density", "--max", "13", "--", "15"],
+    ["selftest", "x"],
+    ["minimal", "--set", "1,3", "--target", "1/0"],
+]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+def test_command_parser_matches_the_full_parser(argv):
+    args = np2.cli._parse_command(argv[0], argv[1:])
+    assert args is not None
+    assert vars(args) == vars(np2.cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_refused_call_is_reported_by_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, *capsys.readouterr()
+
+    code, out, err = outcome(main)
+    assert (code, out, err) == outcome(np2.cli.build_parser().parse_args)
+    assert (code, bool(out), bool(err)) in ((0, True, False), (3, False, True))
+
+
+def test_well_formed_call_builds_no_full_parser(capsys, monkeypatch):
+    builds = []
+    build_parser = np2.cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(np2.cli, "build_parser", counted)
+    assert main(["density", "--max", "13"]) == 0
+    assert builds == []
+    with pytest.raises(SystemExit):
+        main(["density", "--max", "x"])
+    assert builds == [1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["density", "--max", "13"], ["density", "-h"], ["frob"]])
+def test_main_reads_sys_argv(capsys, monkeypatch, argv):
+    def outcome(*call):
+        try:
+            code = main(*call)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        return code, *capsys.readouterr()
+
+    monkeypatch.setattr("sys.argv", ["np2", *argv])
+    assert outcome() == outcome(argv)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -308,6 +309,12 @@ def test_support_graph_refused_past_the_edge_cap(monkeypatch):
     # about 29 million edges; the refusal comes before any of them is built
     with pytest.raises(ValueError, match=r"up to density 1/9 has \d{8} edges on the states 1\.\.6240,"):
         density(odds_up_to(1001))
+    # about 3.7e10 edges: the edges of c = 0 and of each single exponent refuse
+    # the graph before the knapsack, which takes seconds on this set
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"up to density 1/12 has at least \d{9} edges on the states 1\.\.222611,"):
+        density(odds_up_to(8001))
+    assert time.perf_counter() - t0 < 2.0
     monkeypatch.setattr(np2.modsolve, "EDGE_CAP", 10)
     with pytest.raises(ValueError, match="more than 10$"):
         minimal_irreducible_solutions(odds_up_to(13))
