@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
+from functools import lru_cache, reduce
 
 from .field import make_ctx
 from .zeta import CurvePoly
@@ -32,108 +32,80 @@ class TheoremCase:
     slope_at_least: Fraction | None = None
 
 
-def _value_t2_ia(ctx, c, n):
-    return ctx.mul(c((1 << n) - 3), c(3 * (1 << (n - 2)) - 1))
+def _ladder(n: int):
+    """The case ladder at level n as rows (case, lo, hi, vertex, terms, slope_at_least).
 
-
-def _value_t2_ib(ctx, c, n):
-    return ctx.mul(ctx.frobenius(c((1 << n) - 3), n - 2), c(3 * (1 << (n - 2)) - 1)) ^ ctx.mul(
-        ctx.frobenius(c((1 << n) - 5), n - 2), c(5 * (1 << (n - 2)) - 1)
-    )
-
-
-def _value_t2_ic(ctx, c, n):
-    return ctx.mul(
-        ctx.mul(c((1 << n) - 3), c(3 * (1 << (n - 1)) - 5)), c(5 * (1 << (n - 2)) - 1)
-    )
-
-
-def _value_t2_id(ctx, c, n):
-    inner = ctx.mul(c((1 << n) - 3), c(3 * (1 << (n - 1)) - 5)) ^ ctx.mul(
-        c((1 << n) - 5), c(3 * (1 << (n - 1)) - 3)
-    )
-    return ctx.mul(c(5 * (1 << (n - 2)) - 1), inner)
-
-
-def _value_t2_ii(ctx, c, n):
-    return ctx.mul(c((1 << n) - 3), c(3 * (1 << (n - 1)) - 1))
-
-
-def _value_t2_iii(ctx, c, n):
-    return ctx.mul(
-        ctx.frobenius(c((1 << (n + 1)) - 7), n - 2), c(7 * (1 << (n - 2)) - 1)
-    ) ^ ctx.mul(ctx.frobenius(c((1 << n) - 3), n - 1), c(3 * (1 << (n - 1)) - 1))
-
-
-def _value_t2_iv(ctx, c, n):
-    return (
-        ctx.mul(ctx.frobenius(c((1 << (n + 1)) - 5), n - 2), c(5 * (1 << (n - 2)) - 1))
-        ^ _value_t2_iii(ctx, c, n)
-    )
-
-
-def _value_t2_v(ctx, c, n):
-    return (
-        ctx.mul(ctx.frobenius(c((1 << (n + 1)) - 3), n - 2), c(3 * (1 << (n - 2)) - 1))
-        ^ ctx.mul(ctx.frobenius(c((1 << (n + 1)) - 5), n - 2), c(5 * (1 << (n - 2)) - 1))
-        ^ ctx.mul(ctx.frobenius(c((1 << (n + 1)) - 7), n - 2), c(7 * (1 << (n - 2)) - 1))
-    )
-
-
-def _t2_ladder(n):
-    """The fallback cases at level n as (case, lo, hi, vertex, value, slope_at_least).
-
-    A case holds 2g+1 when lo <= 2g+1 < hi, bounds in units of
-    p = 2^(n-2); value(ctx, c, n) is its Hasse value, vertex the first
-    vertex when that value is nonzero, and slope_at_least the slope
-    bound when it vanishes.  Rows are tried in order and the first that
-    holds 2g+1 wins (at n = 3 the equality cases overlap and this order
-    resolves the tie).
+    A row holds 2g+1 when lo <= 2g+1 < hi, in units of p = 2^(n-2).  Its
+    Hasse value is the XOR of its terms, each the product of c_e^(2^j)
+    over its factors (e, j); vertex is the first vertex when that value
+    is nonzero, slope_at_least the slope bound when a T2 value vanishes.
     """
-    p = 1 << (n - 2)
+    p, k = 1 << (n - 2), n - 2
+    lead = ((4 * p - 1, 0),)
+    ib = (((4 * p - 3, k), (3 * p - 1, 0)), ((4 * p - 5, k), (5 * p - 1, 0)))
+    ic = ((5 * p - 1, 0), (4 * p - 3, 0), (6 * p - 5, 0))
+    id_ = (ic, ((5 * p - 1, 0), (4 * p - 5, 0), (6 * p - 3, 0)))
+    ii = ((4 * p - 3, 0), (6 * p - 1, 0))
+    iii = (((8 * p - 7, k), (7 * p - 1, 0)), ((4 * p - 3, n - 1), (6 * p - 1, 0)))
+    iv = ((8 * p - 5, k), (5 * p - 1, 0))
+    v = (((8 * p - 3, k), (3 * p - 1, 0)), iv, iii[0])
     return (
-        ("T2-ia", 4 * p, 5 * p - 1, (2 * n - 2, 2), _value_t2_ia, None),
-        ("T2-ib", 5 * p - 1, 6 * p - 5, (2 * n - 2, 2), _value_t2_ib, None),
-        ("T2-ic", 6 * p - 5, 6 * p - 4, (3 * n - 3, 3), _value_t2_ic, None),
-        ("T2-id", 6 * p - 3, 6 * p - 2, (3 * n - 3, 3), _value_t2_id, None),
-        ("T2-ii", 6 * p - 1, 8 * p - 7, (2 * n - 1, 2), _value_t2_ii, Fraction(1, n - 1)),
-        ("T2-iii", 8 * p - 7, 8 * p - 6, (2 * n - 1, 2), _value_t2_iii, None),
-        ("T2-iv", 8 * p - 5, 8 * p - 4, (2 * n - 1, 2), _value_t2_iv, None),
-        ("T2-v", 8 * p - 3, 8 * p - 2, (2 * n - 1, 2), _value_t2_v, None),
+        ("T1-iia", 8 * p - 3, 8 * p - 2, (2 * n, 2), (((6 * p - 1, 0),),), None),
+        ("T1-iib", 8 * p - 3, 8 * p - 2, (n, 1), (lead,), None),
+        ("T1-i", 4 * p - 1, 8 * p - 3, (n, 1), (lead,), None),
+        ("T2-ia", 4 * p, 5 * p - 1, (2 * n - 2, 2), (((4 * p - 3, 0), (3 * p - 1, 0)),), None),
+        ("T2-ib", 5 * p - 1, 6 * p - 5, (2 * n - 2, 2), ib, None),
+        ("T2-ic", 6 * p - 5, 6 * p - 4, (3 * n - 3, 3), (ic,), None),
+        ("T2-id", 6 * p - 3, 6 * p - 2, (3 * n - 3, 3), id_, None),
+        ("T2-ii", 6 * p - 1, 8 * p - 7, (2 * n - 1, 2), (ii,), Fraction(1, n - 1)),
+        ("T2-iii", 8 * p - 7, 8 * p - 6, (2 * n - 1, 2), iii, None),
+        ("T2-iv", 8 * p - 5, 8 * p - 4, (2 * n - 1, 2), (iv,) + iii, None),
+        ("T2-v", 8 * p - 3, 8 * p - 2, (2 * n - 1, 2), v, None),
     )
+
+
+@lru_cache(maxsize=None)
+def _walk(deg: int):
+    """The rows that hold deg in ladder order, through the first T2 row,
+    which ends the walk (at n = 3 T2-id and T2-iii both hold 9; id wins)."""
+    if deg < 2 * MIN_GENUS + 1:
+        raise ValueError(f"case ladder needs genus at least {MIN_GENUS}")
+    rows = []
+    for row in _ladder((deg + 1).bit_length() - 1):
+        if row[1] <= deg < row[2]:
+            rows.append(row)
+            if row[0].startswith("T2"):
+                break
+    return tuple(rows)
+
+
+def _value(ctx, c: dict[int, int], terms) -> int:
+    """A row's Hasse value on the coefficients c, a dict e -> c_e."""
+    value = 0
+    for term in terms:
+        value ^= reduce(ctx.mul, [ctx.frobenius(c.get(e, 0), j) for e, j in term])
+    return value
 
 
 def classify(f: CurvePoly) -> TheoremCase:
-    """Walk the case ladder and return the unique case that fires."""
-    if f.genus < MIN_GENUS:
-        raise ValueError(f"case ladder needs genus at least {MIN_GENUS}")
+    """Walk the case ladder and return the unique case that fires: the
+    first row with a nonzero value, else the T2 row that ends the walk."""
+    rows = _walk(f.deg)
     n = (2 * f.genus + 2).bit_length() - 1
     ctx = make_ctx(f.field_degree)
-    c = f.coeff
-    deg = f.deg
-    top = (1 << (n + 1)) - 3
-    lead = c((1 << n) - 1)
-    if deg == top and c(3 * (1 << (n - 1)) - 1):
-        return TheoremCase("T1-iia", n, c(3 * (1 << (n - 1)) - 1), (2 * n, 2), False)
-    if lead:
-        case_id = "T1-iib" if deg == top else "T1-i"
-        return TheoremCase(case_id, n, lead, (n, 1), False)
-    for case_id, lo, hi, vertex, value_of, slope in _t2_ladder(n):
-        if lo <= deg < hi:
-            value = value_of(ctx, c, n)
-            if value:
-                return TheoremCase(case_id, n, value, vertex, True)
+    c = dict(f.coeffs)
+    for case_id, _, _, vertex, terms, slope in rows:
+        value = _value(ctx, c, terms)
+        if value:
+            return TheoremCase(case_id, n, value, vertex, case_id.startswith("T2"))
+        if case_id.startswith("T2"):
             return TheoremCase(case_id, n, 0, None, True, slope)
     return TheoremCase("out-of-ladder", n, 0, None, True)
 
 
-
 def read_exponents(genus: int) -> tuple[int, ...]:
-    """The exponents whose coefficients classify reads at this genus.  A
-    probe curve that reads 0 everywhere fails both T1 tests and reaches
-    its ladder row, whose value has no branches, so it reads them all."""
-    read = set()
+    """The exponents whose coefficients classify reads at this genus: the
+    factors of every row its walk reaches, less those past 2g+1, where
+    c_e = 0 on every curve."""
     deg = 2 * genus + 1
-    probe = SimpleNamespace(field_degree=1, genus=genus, deg=deg, coeff=lambda e: read.add(e) or 0)
-    classify(probe)
-    return tuple(sorted(e for e in read if e <= deg))  # past deg, c_e = 0 on every curve
+    return tuple(sorted({e for row in _walk(deg) for term in row[4] for e, _ in term if e <= deg}))

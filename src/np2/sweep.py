@@ -40,7 +40,8 @@ from .zeta import (
     newton_polygon_of_curve,
 )
 
-EXHAUSTIVE_CAP = 1 << 20
+# the most curves one sweep may hold, exhaustive or random
+CURVE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -198,10 +199,12 @@ class SweepSpec:
             for e in range(1, deg + 1, 2):
                 if e not in fixed:
                     size *= q - 1 if e == deg else q
-            if size > EXHAUSTIVE_CAP:
+            if size > CURVE_CAP:
                 raise ValueError("exhaustive sweep larger than 2^20 curves")
         elif self.count < 1:
             raise ValueError("random sweep needs a positive count")
+        elif self.count > CURVE_CAP:
+            raise ValueError(f"random sweep of {self.count} curves, larger than 2^20")
 
 
 def random_draws(spec: SweepSpec) -> list[tuple[int, ...]] | None:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .field import (
     TABLE_DEGREE_CAP,
-    FieldCtx,
     embed_bits,
     make_ctx,
     powers,
@@ -86,18 +85,11 @@ class CurvePoly:
         return 0
 
 
-def _eval_sparse(ctx: FieldCtx, items, x: int) -> int:
-    """Horner evaluation over the gaps of a sparse polynomial."""
-    e_prev, r = items[0]
-    for e, c in items[1:]:
-        r = ctx.mul(r, ctx.pow_(x, e_prev - e)) ^ c
-        e_prev = e
-    return ctx.mul(r, ctx.pow_(x, e_prev))
-
-
 def check_extension_degree(am: int) -> None:
     if not 1 <= am <= TABLE_DEGREE_CAP:
-        raise ValueError(f"extension degree {am} outside 1..{TABLE_DEGREE_CAP}, the table cap")
+        raise ValueError(
+            f"extension degree {am} outside 1..{TABLE_DEGREE_CAP}, the extension-degree cap"
+        )
 
 
 def exponential_sum(f: CurvePoly, m: int) -> int:
@@ -118,16 +110,6 @@ def exponential_sum(f: CurvePoly, m: int) -> int:
                 acc ^= _trace_row(am, e % n or n, b)
     # x = 0 contributes +1 since f(0) = 0
     return (1 << am) - 2 * int(np.bitwise_count(acc).sum())
-
-
-def _exponential_sum_scalar(f: CurvePoly, am: int) -> int:
-    """Element-by-element S over F_{2^am}; the reference for the packed rows."""
-    ctx = make_ctx(am)
-    emb = tuple((e, embed_bits(c, f.field_degree, am)) for e, c in f.coeffs)
-    s = 0
-    for x in ctx.elements():
-        s += 1 - 2 * ctx.trace(_eval_sparse(ctx, emb, x))
-    return s
 
 
 @lru_cache(maxsize=None)

@@ -10,13 +10,15 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from np2.field import field_table
+from np2.field import FieldCtx, embed_bits, field_table, make_ctx
+from np2.hasse import MIN_GENUS, TheoremCase
 from np2.modsolve import ModSolution, odds_up_to
 from np2.sweep import COLUMNS, _csv_cell, record_row
-from np2.zeta import _LEADER_BLOCK, _basis, _orbit_leaders, _Orbits
+from np2.zeta import _LEADER_BLOCK, CurvePoly, _basis, _orbit_leaders, _Orbits
 
 # the certified 2-densities of the punctured odd-exponent sets, keyed by
 # the window 2^n - 1 <= d <= 2^(n+1) - 3 for n = 4 and 5
@@ -264,3 +266,130 @@ def fresh_process(code):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     printed, tables, peak_kb = out.stdout.rsplit(maxsplit=2)
     return printed, int(tables), int(peak_kb)
+
+
+def eval_sparse(ctx: FieldCtx, items, x: int) -> int:
+    """Horner evaluation over the gaps of a sparse polynomial."""
+    e_prev, r = items[0]
+    for e, c in items[1:]:
+        r = ctx.mul(r, ctx.pow_(x, e_prev - e)) ^ c
+        e_prev = e
+    return ctx.mul(r, ctx.pow_(x, e_prev))
+
+
+def exponential_sum_scalar(f: CurvePoly, am: int) -> int:
+    """Element-by-element S over F_{2^am}; the reference for the packed rows."""
+    ctx = make_ctx(am)
+    emb = tuple((e, embed_bits(c, f.field_degree, am)) for e, c in f.coeffs)
+    s = 0
+    for x in ctx.elements():
+        s += 1 - 2 * ctx.trace(eval_sparse(ctx, emb, x))
+    return s
+
+
+# The case ladder written out case by case: one hand-written Hasse value
+# per fallback case and the ladder walk over their ranges.  The reference
+# that np2.hasse's table of clauses is tested against.
+
+
+def _value_t2_ia(ctx, c, n):
+    return ctx.mul(c((1 << n) - 3), c(3 * (1 << (n - 2)) - 1))
+
+
+def _value_t2_ib(ctx, c, n):
+    return ctx.mul(ctx.frobenius(c((1 << n) - 3), n - 2), c(3 * (1 << (n - 2)) - 1)) ^ ctx.mul(
+        ctx.frobenius(c((1 << n) - 5), n - 2), c(5 * (1 << (n - 2)) - 1)
+    )
+
+
+def _value_t2_ic(ctx, c, n):
+    return ctx.mul(
+        ctx.mul(c((1 << n) - 3), c(3 * (1 << (n - 1)) - 5)), c(5 * (1 << (n - 2)) - 1)
+    )
+
+
+def _value_t2_id(ctx, c, n):
+    inner = ctx.mul(c((1 << n) - 3), c(3 * (1 << (n - 1)) - 5)) ^ ctx.mul(
+        c((1 << n) - 5), c(3 * (1 << (n - 1)) - 3)
+    )
+    return ctx.mul(c(5 * (1 << (n - 2)) - 1), inner)
+
+
+def _value_t2_ii(ctx, c, n):
+    return ctx.mul(c((1 << n) - 3), c(3 * (1 << (n - 1)) - 1))
+
+
+def _value_t2_iii(ctx, c, n):
+    return ctx.mul(
+        ctx.frobenius(c((1 << (n + 1)) - 7), n - 2), c(7 * (1 << (n - 2)) - 1)
+    ) ^ ctx.mul(ctx.frobenius(c((1 << n) - 3), n - 1), c(3 * (1 << (n - 1)) - 1))
+
+
+def _value_t2_iv(ctx, c, n):
+    return (
+        ctx.mul(ctx.frobenius(c((1 << (n + 1)) - 5), n - 2), c(5 * (1 << (n - 2)) - 1))
+        ^ _value_t2_iii(ctx, c, n)
+    )
+
+
+def _value_t2_v(ctx, c, n):
+    return (
+        ctx.mul(ctx.frobenius(c((1 << (n + 1)) - 3), n - 2), c(3 * (1 << (n - 2)) - 1))
+        ^ ctx.mul(ctx.frobenius(c((1 << (n + 1)) - 5), n - 2), c(5 * (1 << (n - 2)) - 1))
+        ^ ctx.mul(ctx.frobenius(c((1 << (n + 1)) - 7), n - 2), c(7 * (1 << (n - 2)) - 1))
+    )
+
+
+def _t2_ladder(n):
+    """The fallback cases at level n as (case, lo, hi, vertex, value, slope_at_least),
+    tried in order; the first that holds 2g+1 wins (lo <= 2g+1 < hi)."""
+    p = 1 << (n - 2)
+    return (
+        ("T2-ia", 4 * p, 5 * p - 1, (2 * n - 2, 2), _value_t2_ia, None),
+        ("T2-ib", 5 * p - 1, 6 * p - 5, (2 * n - 2, 2), _value_t2_ib, None),
+        ("T2-ic", 6 * p - 5, 6 * p - 4, (3 * n - 3, 3), _value_t2_ic, None),
+        ("T2-id", 6 * p - 3, 6 * p - 2, (3 * n - 3, 3), _value_t2_id, None),
+        ("T2-ii", 6 * p - 1, 8 * p - 7, (2 * n - 1, 2), _value_t2_ii, Fraction(1, n - 1)),
+        ("T2-iii", 8 * p - 7, 8 * p - 6, (2 * n - 1, 2), _value_t2_iii, None),
+        ("T2-iv", 8 * p - 5, 8 * p - 4, (2 * n - 1, 2), _value_t2_iv, None),
+        ("T2-v", 8 * p - 3, 8 * p - 2, (2 * n - 1, 2), _value_t2_v, None),
+    )
+
+
+T2_VALUES = {case_id: value_of for case_id, _, _, _, value_of, _ in _t2_ladder(3)}
+
+
+def reference_classify(f) -> TheoremCase:
+    """The case ladder walked branch by branch: the T1 tests, then the
+    first fallback case that holds 2g+1, by its hand-written value."""
+    if f.genus < MIN_GENUS:
+        raise ValueError(f"case ladder needs genus at least {MIN_GENUS}")
+    n = (2 * f.genus + 2).bit_length() - 1
+    ctx = make_ctx(f.field_degree)
+    c = f.coeff
+    deg = f.deg
+    top = (1 << (n + 1)) - 3
+    lead = c((1 << n) - 1)
+    if deg == top and c(3 * (1 << (n - 1)) - 1):
+        return TheoremCase("T1-iia", n, c(3 * (1 << (n - 1)) - 1), (2 * n, 2), False)
+    if lead:
+        case_id = "T1-iib" if deg == top else "T1-i"
+        return TheoremCase(case_id, n, lead, (n, 1), False)
+    for case_id, lo, hi, vertex, value_of, slope in _t2_ladder(n):
+        if lo <= deg < hi:
+            value = value_of(ctx, c, n)
+            if value:
+                return TheoremCase(case_id, n, value, vertex, True)
+            return TheoremCase(case_id, n, 0, None, True, slope)
+    return TheoremCase("out-of-ladder", n, 0, None, True)
+
+
+def reference_read_exponents(genus: int) -> tuple[int, ...]:
+    """The exponents reference_classify reads at this genus, recorded on a
+    probe curve that reads 0 everywhere: it fails both T1 tests and
+    reaches its fallback case, whose value has no branches."""
+    read = set()
+    deg = 2 * genus + 1
+    probe = SimpleNamespace(field_degree=1, genus=genus, deg=deg, coeff=lambda e: read.add(e) or 0)
+    reference_classify(probe)
+    return tuple(sorted(e for e in read if e <= deg))

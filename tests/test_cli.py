@@ -147,7 +147,7 @@ def test_spec_error_exit_codes(capsys):
         ["minimal", "--max", "61", "--exclude", "31", "--target", "1/2"],
         # refused with the length cap lowered to 2: 1/3 sits at length 3
         ["density", "--max", "13"],
-        # past the field table cap: extension degrees 23, 24 and 24
+        # past the extension-degree cap: extension degrees 23, 24 and 24
         ["np", "--q", "2", "--coeffs", "47:1"],
         ["zeta", "--q", "2", "--coeffs", "25:1", "--full"],
         ["sweep", "--q", "4", "--g", "12", "--random", "--count", "1"],
@@ -194,7 +194,7 @@ def test_unwritable_report_exits_3_before_any_curve(tmp_path, capsys, monkeypatc
 
 
 def test_refused_sweep_keeps_an_existing_report(tmp_path, capsys):
-    # the oracle's table cap is checked before the report is opened
+    # the oracle's extension-degree cap is checked before the report is opened
     out = tmp_path / "old.jsonl"
     out.write_text("old\n")
     argv = ["sweep", "--q", "4", "--g", "12", "--random", "--count", "1", "--out", str(out)]
@@ -203,6 +203,18 @@ def test_refused_sweep_keeps_an_existing_report(tmp_path, capsys):
     assert out.read_text() == "old\n"
     # without the oracle the same family is a valid sweep
     np2.sweep.SweepSpec(2, 12, "random", count=1, predictors=("vss", "hasse")).validate()
+
+
+def test_random_sweep_past_the_curve_cap_exits_3(tmp_path, capsys):
+    # refused before the draws are made and before the report is opened
+    out = tmp_path / "big.jsonl"
+    argv = ["sweep", "--q", "4", "--g", "9", "--random", "--count", "1048577"]
+    t0 = time.perf_counter()
+    assert main(argv + ["--predictors", "hasse", "--out", str(out)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err == "error: random sweep of 1048577 curves, larger than 2^20\n"
+    assert not out.exists()
 
 
 def test_failed_sweep_leaves_no_new_report(tmp_path, capsys, monkeypatch):

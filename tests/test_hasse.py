@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import T2_VALUES, reference_classify, reference_read_exponents
 from np2.field import make_ctx
-from np2.hasse import _t2_ladder, classify
+from np2.hasse import _ladder, _value, classify, read_exponents
 from np2.vss import predict_first_vertex
 from np2.zeta import CurvePoly
 
@@ -113,12 +114,71 @@ def test_deg_nine_order_tie():
     assert (t.case_id, t.hasse_bits, t.vertex) == ("T2-id", 0, None)
 
 
-T2_CASES = {row[0] for row in _t2_ladder(3)}
+T2_CASES = {row[0] for row in _ladder(3) if row[0].startswith("T2")}
 
 
 def t2_value(case_id, f, n):
-    (value_of,) = [row[4] for row in _t2_ladder(n) if row[0] == case_id]
-    return value_of(make_ctx(f.field_degree), f.coeff, n)
+    (terms,) = [row[4] for row in _ladder(n) if row[0] == case_id]
+    return _value(make_ctx(f.field_degree), dict(f.coeffs), terms)
+
+
+def random_curve(rng, a, g, density=0.5):
+    q = 1 << a
+    deg = 2 * g + 1
+    coeffs = {e: rng.randrange(q) for e in range(1, deg, 2) if rng.random() < density}
+    return curve(a, {**coeffs, deg: rng.randrange(1, q)})
+
+
+def test_table_values_match_reference_formulas():
+    # each T2 row's terms against its hand-written value, at every level
+    # n of genus 3..70 and over fields where the Frobenius counts matter
+    assert T2_CASES == set(T2_VALUES)
+    rng = random.Random(17)
+    for a in (1, 2, 3):
+        for g in range(3, 71):
+            f = random_curve(rng, a, g, density=0.9)
+            n = (2 * g + 2).bit_length() - 1
+            for case_id in T2_CASES:
+                want = T2_VALUES[case_id](make_ctx(a), f.coeff, n)
+                assert t2_value(case_id, f, n) == want, (case_id, a, f.coeffs)
+
+
+def test_classify_matches_reference():
+    rng = random.Random(19)
+    for a in (1, 2, 3, 5):
+        for _ in range(300):
+            f = random_curve(rng, a, rng.randrange(3, 70), density=rng.random())
+            assert classify(f) == reference_classify(f), f.coeffs
+    # every zero pattern on the coefficients the ladder reads
+    for g in range(3, 13):
+        deg = 2 * g + 1
+        exps = [e for e in read_exponents(g) if e != deg]
+        for bits in itertools.product([0, 1], repeat=len(exps)):
+            f = curve(1, {deg: 1, **dict(zip(exps, bits))})
+            assert classify(f) == reference_classify(f), f.coeffs
+
+
+def test_read_exponents_match_reference():
+    for g in range(3, 301):
+        assert read_exponents(g) == reference_read_exponents(g), g
+    with pytest.raises(ValueError, match="genus"):
+        read_exponents(2)
+
+
+def test_read_exponents_decide_classify():
+    # two curves that agree on read_exponents(g) and the leading
+    # coefficient get the same case; the set need not be minimal
+    rng = random.Random(23)
+    for a in (1, 2):
+        q = 1 << a
+        for g in range(3, 131):
+            deg = 2 * g + 1
+            for _ in range(8):
+                key = {e: rng.randrange(q) if rng.randrange(2) else 0 for e in read_exponents(g)}
+                key[deg] = rng.randrange(1, q)
+                f1, f2 = (random_curve(rng, a, g) for _ in range(2))
+                f1, f2 = (curve(a, {**dict(f.coeffs), **key}) for f in (f1, f2))
+                assert classify(f1) == classify(f2), (a, g, key)
 
 
 def test_t2_ib_value_example():

@@ -102,6 +102,10 @@ def test_spec_validation():
         list(iter_curves(SweepSpec(2, 11)))
     with pytest.raises(ValueError, match="count"):
         list(iter_curves(SweepSpec(1, 3, mode="random")))
+    # a random family is capped at 2^20 curves like an exhaustive one
+    with pytest.raises(ValueError, match="1048577 curves, larger than 2\\^20"):
+        SweepSpec(2, 9, mode="random", count=(1 << 20) + 1).validate()
+    assert SweepSpec(2, 9, mode="random", count=1 << 20).validate() is None
     with pytest.raises(ValueError, match="mode"):
         list(iter_curves(SweepSpec(1, 3, mode="grid")))
     with pytest.raises(ValueError, match="predictor"):

@@ -5,13 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import fresh_process, full_orbit_leaders, table_leader_rows, table_trace_bits
+from helpers import (
+    exponential_sum_scalar,
+    fresh_process,
+    full_orbit_leaders,
+    table_leader_rows,
+    table_trace_bits,
+)
 from np2.field import embed_bits, make_ctx, primitive_element
 from np2.zeta import (
     CurvePoly,
     _basis,
     _basis_log,
-    _exponential_sum_scalar,
     _leader_rows,
     _orbit_leaders,
     _trace_bits,
@@ -140,12 +145,12 @@ def test_scalar_and_table_sums_agree():
         for m in range(1, 4):
             if a * m > 12:
                 continue
-            assert _exponential_sum_scalar(f, a * m) == exponential_sum(f, m)
+            assert exponential_sum_scalar(f, a * m) == exponential_sum(f, m)
     # F_32: five coefficient bits, each its own trace row
     for _ in range(4):
         f = random_curve(rng, 5, rng.randint(1, 3))
         for m in (1, 2):
-            assert _exponential_sum_scalar(f, 5 * m) == exponential_sum(f, m)
+            assert exponential_sum_scalar(f, 5 * m) == exponential_sum(f, m)
 
 
 @pytest.mark.parametrize("am", [*range(1, 9), 13])
@@ -156,7 +161,7 @@ def test_packed_rows_match_scalar_sum(am):
     for a in (d for d in range(1, am + 1) if am % d == 0):
         for _ in range(1 if am == 13 else 3):
             f = random_curve(rng, a, rng.randint(1, 3))
-            assert exponential_sum(f, am // a) == _exponential_sum_scalar(f, am), (f, am)
+            assert exponential_sum(f, am // a) == exponential_sum_scalar(f, am), (f, am)
 
 
 def test_trace_rows_cached_per_coefficient_bit():
