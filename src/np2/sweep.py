@@ -3,14 +3,13 @@ serialize one verdict per curve.
 
 Sweeps are deterministic: the dense coefficient rows (dense_rows) alone
 decide report order.  Exhaustive families come out in encoding order as
-they are enumerated; random families pre-draw all curves from a seed
-(random_draws) and come out sorted by encoding.  Every route evaluates
-a whole family at once, in the calling process, and each record's
-elapsed time is an equal share of that work.  A sweep is held as
-columns (Sweep): the rows, the distinct verdicts and one index per row;
-summaries and reports are built once per distinct verdict.  Timing is
-kept out of the serialized forms by default so report digests are
-stable.
+they are enumerated; random families pre-draw all curves from a seed and
+come out sorted by encoding.  Every route evaluates a whole family at
+once, in the calling process, and each record's elapsed time is an equal
+share of that work.  A sweep is held as columns (Sweep): the rows, the
+distinct verdicts and one index per row; summaries and reports are built
+once per distinct verdict.  Timing is kept out of the serialized forms by
+default so report digests are stable.
 """
 
 from __future__ import annotations
@@ -207,18 +206,19 @@ class SweepSpec:
             raise ValueError(f"random sweep of {self.count} curves, larger than 2^20")
 
 
-def random_draws(spec: SweepSpec) -> list[tuple[int, ...]] | None:
-    """A random family's dense coefficient tuples (c_1, c_3, ..., c_{2g+1})
-    in report order, None for an exhaustive family.
-
-    Report order is ascending; duplicate draws are all kept.
-    """
+def dense_rows(spec: SweepSpec):
+    """The family's dense coefficient tuples (c_1, c_3, ..., c_{2g+1}) in
+    report order, which is ascending: an iterator over the product for an
+    exhaustive family, the sorted seeded draws for a random one, where
+    duplicate draws are all kept."""
     spec.validate()
-    if spec.mode == "exhaustive":
-        return None
     q = 1 << spec.field_degree
     deg = 2 * spec.genus + 1
     fixed = dict(spec.fixed)
+    if spec.mode == "exhaustive":
+        # the lowest exponent varies slowest, so product order is ascending
+        odd = range(1, deg + 1, 2)
+        return product(*((fixed[e],) if e in fixed else range(1 if e == deg else 0, q) for e in odd))
     rng = Random(spec.seed)
     draws = []
     for _ in range(spec.count):
@@ -227,21 +227,6 @@ def random_draws(spec: SweepSpec) -> list[tuple[int, ...]] | None:
         lower = tuple(fixed[e] if e in fixed else rng.randrange(q) for e in range(1, deg, 2))
         draws.append(lower + (lead,))
     return sorted(draws)
-
-
-def dense_rows(spec: SweepSpec):
-    """The family's dense coefficient tuples (c_1, c_3, ..., c_{2g+1}) in
-    report order, which is ascending: random_draws(spec) for a random
-    family, an iterator over the product for an exhaustive one."""
-    draws = random_draws(spec)  # validates spec
-    if draws is not None:
-        return draws
-    q = 1 << spec.field_degree
-    deg = 2 * spec.genus + 1
-    fixed = dict(spec.fixed)
-    # the lowest exponent varies slowest, so product order is ascending
-    odd = range(1, deg + 1, 2)
-    return product(*((fixed[e],) if e in fixed else range(1 if e == deg else 0, q) for e in odd))
 
 
 def _sparse(row) -> tuple[tuple[int, int], ...]:

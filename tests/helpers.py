@@ -261,11 +261,19 @@ def fresh_process(code):
         "hwm = next(s for s in open('/proc/self/status') if s.startswith('VmHWM:')).split()[1]\n"
         "print(field_table.cache_info().currsize, hwm)\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_np2_env(), capture_output=True, text=True, check=True)
     printed, tables, peak_kb = out.stdout.rsplit(maxsplit=2)
     return printed, int(tables), int(peak_kb)
+
+
+def run_cli(argv, **kwargs):
+    """np2.cli run as a script in a fresh interpreter, stopped after 60 s."""
+    return subprocess.run([sys.executable, "-m", "np2.cli", *argv], env=_np2_env(), text=True, timeout=60, **kwargs)
+
+
+def _np2_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def eval_sparse(ctx: FieldCtx, items, x: int) -> int:

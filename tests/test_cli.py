@@ -1,5 +1,7 @@
 import json
 import os
+import stat
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +13,7 @@ import np2.modsolve
 import np2.sweep
 import np2.zeta
 from np2.cli import main
-from helpers import fresh_process
+from helpers import fresh_process, run_cli
 from np2.field import TABLE_DEGREE_CAP
 
 
@@ -133,10 +135,28 @@ def test_spec_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["density", "--set", "3,5", "--l-max", "0"])
     assert exc.value.code == 3
+    for argv, message in [
+        (["zeta", "--q", "1", "--coeffs", "3:1"], "argument --q: '1' is not a power of two"),
+        (["zeta", "--q", "2^0", "--coeffs", "3:1"], "argument --q: '2^0' is not a power of two"),
+        (["density", "--set", "1,x"], "argument --set: '1,x' is not a comma list of integers"),
+    ]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
     # library-level errors return 3 without raising
     assert main(["classify", "--q", "2^1", "--coeffs", "5:1"]) == 3
     assert main(["minimal", "--set", "2,4"]) == 3
     capsys.readouterr()
+    for argv, message in [
+        (["density"], "give either --set or --max"),
+        (["sweep", "--q", "2", "--g", "0"], "genus must be positive"),
+        (["sweep", "--q", "4", "--g", "3", "--fix", "3:5"], "fixed value 5 outside F_4"),
+    ]:
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -218,14 +238,14 @@ def test_random_sweep_past_the_curve_cap_exits_3(tmp_path, capsys):
 
 
 def test_failed_sweep_leaves_no_new_report(tmp_path, capsys, monkeypatch):
-    # the reports are opened, so created, before the sweep runs; a sweep
-    # refused after that removes the files it created and no other
+    # the reports are opened, as temporary files beside them, before the
+    # sweep runs; a sweep refused after that removes them and no other file
     out, frontier = tmp_path / "new.jsonl", tmp_path / "frontier.json"
     frontier.write_text("old frontier\n")
     argv = ["sweep", "--q", "2", "--g", "3", "--out", str(out), "--frontier", str(frontier)]
 
     def refused(spec):
-        assert out.exists()
+        assert not out.exists() and len(list(tmp_path.glob(".new.jsonl.*.tmp"))) == 1
         raise ValueError("refused")
 
     monkeypatch.setattr(np2.cli, "run_sweep", refused)
@@ -234,7 +254,7 @@ def test_failed_sweep_leaves_no_new_report(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["frontier.json"]
     assert frontier.read_text() == "old frontier\n"
     monkeypatch.undo()
-    # a new report has the mode that opening it gave, not a temporary file's
+    # a new report takes its mode from the umask
     umask = os.umask(0o027)
     try:
         assert main(argv) == 0
@@ -305,6 +325,36 @@ def test_failed_report_write_keeps_existing_reports(tmp_path, capsys, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["frontier.json", "g3.jsonl", "link.jsonl"]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_sweep_writes_a_fifo_in_place(tmp_path):
+    # a FIFO report is written into, not replaced by a regular file
+    fifo = tmp_path / "report"
+    os.mkfifo(fifo)
+    lines = []
+    reader = threading.Thread(target=lambda: lines.extend(fifo.open()), daemon=True)
+    reader.start()
+    try:
+        done = run_cli(["sweep", "--q", "2", "--g", "3", "--out", str(fifo)], capture_output=True)
+    finally:
+        reader.join(10)
+        if reader.is_alive():
+            # the sweep never opened the FIFO: a writer that closes at once ends the read
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(10)
+    assert done.returncode == 0, done.stderr
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert len(lines) == 8 and all(json.loads(line)["oracle"] == [3, "1/1"] for line in lines)
+
+
+def test_sweep_writes_a_piped_stdout_in_place():
+    # /dev/stdout into a pipe names no file a temporary could replace
+    done = run_cli(["sweep", "--q", "2", "--g", "3", "--out", "/dev/stdout"], capture_output=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 8 and all(json.loads(line)["oracle"] == [3, "1/1"] for line in lines)
+    assert json.loads(done.stderr)["total"] == 8
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_genus16_sweep_memory(tmp_path):
     # exhaustive F_2 genus 16 (65536 curves) with both reports, in a fresh
@@ -349,6 +399,18 @@ def test_selftest(capsys):
     out = capsys.readouterr().out
     assert "selftest: all checks passed" in out
     assert out.count("ok - ") == 6
+
+
+def test_selftest_reports_a_failed_check(capsys, monkeypatch):
+    def broken():
+        assert False
+
+    checks = np2.cli._selftest_checks()
+    monkeypatch.setattr(np2.cli, "_selftest_checks", lambda: [*checks, ("broken check", broken)])
+    assert main(["selftest"]) == 2
+    out = capsys.readouterr().out
+    assert out.count("ok - ") == 6 and "FAIL - broken check\n" in out
+    assert out.endswith("selftest: 1 check(s) failed\n")
 
 
 def test_refusal_abbreviates_a_long_exponent_set(capsys):

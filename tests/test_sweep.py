@@ -22,7 +22,6 @@ from np2.sweep import (
     iter_curves,
     parse_coeffs,
     parse_frac,
-    random_draws,
     report_lines,
     run_sweep,
     summarize,
@@ -168,7 +167,7 @@ def test_family_oracle_matches_per_curve(spec):
     # the same-route reference: one curve at a time, in iter_curves order
     oracle = sweep.ROUTES["oracle"]
     curves = list(iter_curves(spec))
-    assert expand(oracle.family(spec, random_draws(spec))) == [oracle.run(f) for f in curves]
+    assert expand(oracle.family(spec, list(dense_rows(spec)))) == [oracle.run(f) for f in curves]
 
 
 @pytest.mark.parametrize("spec", [*FAMILIES, SweepSpec(1, 10, fixed=ID_FIX)], ids=spec_id)
@@ -211,7 +210,7 @@ def test_random_family_chunks_match_per_curve(monkeypatch, chunk_bytes):
     monkeypatch.setattr(np2.zeta, "_CHUNK_BYTES", chunk_bytes)
     oracle = sweep.ROUTES["oracle"]
     for spec, w in CHUNK_FAMILIES:
-        draws = random_draws(spec)
+        draws = list(dense_rows(spec))
         used = sum(any(c >> i & 1 for c in col) for col in zip(*draws) for i in range(spec.field_degree))
         assert np2.zeta._group_width(spec.count) == w
         assert w == 1 or used % w, (spec, used)
@@ -223,10 +222,10 @@ def test_family_oracle_builds_no_field_table():
     # an exhaustive and two random families, and the genus-22 --fix family
     # on its own, each in a fresh process
     counts, tables, _ = fresh_process(
-        "from np2.sweep import ROUTES, SweepSpec, random_draws\n"
+        "from np2.sweep import ROUTES, SweepSpec, dense_rows\n"
         "for spec in (SweepSpec(1, 8), SweepSpec(2, 10, mode='random', seed=10, count=100),\n"
         "             SweepSpec(5, 4, mode='random', seed=4, count=200)):\n"
-        "    print(len(ROUTES['oracle'].family(spec, random_draws(spec))[1]))\n"
+        "    print(len(ROUTES['oracle'].family(spec, list(dense_rows(spec)))[1]))\n"
     )
     assert counts.split() == ["256", "100", "200"]
     assert tables == 0
@@ -246,7 +245,7 @@ def test_one_bit_tables_match_per_curve(monkeypatch, chunk_bytes):
     monkeypatch.setattr(np2.zeta, "_TABLE_BYTES", 0)
     oracle = sweep.ROUTES["oracle"]
     for spec, _ in CHUNK_FAMILIES:
-        assert expand(oracle.family(spec, random_draws(spec))) == [oracle.run(f) for f in iter_curves(spec)], spec
+        assert expand(oracle.family(spec, list(dense_rows(spec)))) == [oracle.run(f) for f in iter_curves(spec)], spec
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
@@ -255,9 +254,9 @@ def test_wide_field_tables_are_bounded():
     # bits would hold 92 MB; under the byte cap they fall back to w = 1
     spec = SweepSpec(22, 1, mode="random", seed=1, count=20)
     out, tables, peak_kb = fresh_process(
-        "from np2.sweep import SweepSpec, random_draws\n"
+        "from np2.sweep import SweepSpec, dense_rows\n"
         "from np2.zeta import curves_first_vertices\n"
-        f"vertices, index = curves_first_vertices(22, random_draws({spec!r}))\n"
+        f"vertices, index = curves_first_vertices(22, list(dense_rows({spec!r})))\n"
         "print([list(vertices[i]) for i in index])\n"
     )
     assert tables == 0
