@@ -285,6 +285,9 @@ def _selftest_checks():
 
     def check_modsolve():
         assert density(odds_up_to(13)).value == F(1, 3)
+        # first attained past the length-by-length seed, which stops at length 6
+        r = density((3, 47))
+        assert (r.value, r.length, r.witness.digits) == (F(3, 8), 16, ((3, 1), (47, 19521)))
         sols = minimal_irreducible_solutions(odds_up_to(29, exclude=(15,)), target=F(2, 7))
         assert len(sols) == 4
 

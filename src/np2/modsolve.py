@@ -181,8 +181,6 @@ def min_weight_solution(D, l: int) -> ModSolution:
     D = _normalize_set(D)
     if not 1 <= l <= SIGMA_LENGTH_CAP:
         raise ValueError(f"length {l} out of range 1..{SIGMA_LENGTH_CAP}")
-    if l == 1:
-        return ModSolution(1, ((D[0], 1),))
     m = (1 << l) - 1
     moves = _moves(D, l)
     dist = _bfs_distances(moves, m)
@@ -237,9 +235,19 @@ class DensityResult:
 
 
 def _seed(D) -> dict[int, ModSolution]:
-    # minimum-weight solutions at lengths 1..n+1, n = floor(log2(max(D) + 2))
+    """Minimum-weight solutions at lengths 1..n+1, n = floor(log2(max(D) + 2)),
+    up to SIGMA_LENGTH_CAP.  Length l lists |D| l moves and searches about
+    2^l - 1 residues per move; the seed stops before the steps summed from
+    length 1 would pass EDGE_CAP, and length 1 always runs."""
     n = (D[-1] + 2).bit_length() - 1
-    return {l: min_weight_solution(D, l) for l in range(1, min(n + 1, SIGMA_LENGTH_CAP) + 1)}
+    seen, steps = {}, 0
+    for l in range(1, min(n + 1, SIGMA_LENGTH_CAP) + 1):
+        m = (1 << l) - 1
+        steps += len(D) * l + m * min(len(D) * l, m)
+        if l > 1 and steps > EDGE_CAP:
+            break
+        seen[l] = min_weight_solution(D, l)
+    return seen
 
 
 def _support_bound(lam: Fraction, maxd: int) -> int:
@@ -395,26 +403,17 @@ def _cycles(D, lam0: Fraction, target: Fraction | None):
 
 def density(D) -> DensityResult:
     """Minimum of sigma(D, l) / l over all lengths l, proven global, with
-    the first length that attains it, the shortest tight cycle, and
-    min_weight_solution's witness there.  Raises ValueError when that
-    length passes SIGMA_LENGTH_CAP or the graph would pass EDGE_CAP edges.
-    """
+    the first length that attains it, the shortest tight cycle, and a
+    witness there: the seed's if it reached that length, otherwise the first
+    shift class of the tight cycles.  Raises ValueError where the graph
+    would pass EDGE_CAP edges."""
     D = _normalize_set(D)
     seen = _seed(D)
     lam, cycles = _cycles(D, min(s.density for s in seen.values()), None)
     # the seed searched every length up to its longest, so one of them that
     # attains lam is the first; otherwise the shortest tight cycle is
-    attained = [l for l, s in seen.items() if s.density == lam]
-    length = attained[0] if attained else min(len(phi) for phi, _ in cycles)
-    if length > SIGMA_LENGTH_CAP:
-        raise ValueError(
-            f"the density of {_set_str(D)} is {lam}, first attained at length {length}, past "
-            f"the witness cap {SIGMA_LENGTH_CAP}"
-        )
-    witness = seen.get(length) or min_weight_solution(D, length)
-    if witness.density != lam:
-        raise AssertionError("the search and the shortest tight cycle disagree")
-    return DensityResult(lam, length, witness)
+    witness = next((s for s in seen.values() if s.density == lam), None) or _classes(D, cycles, lam)[0]
+    return DensityResult(lam, witness.length, witness)
 
 
 def _subsets(D, c: int, size: int, start: int = 0):
@@ -430,13 +429,8 @@ def _subsets(D, c: int, size: int, start: int = 0):
             yield (D[i],) + rest
 
 
-def minimal_irreducible_solutions(D, target: Fraction | None = None) -> list[ModSolution]:
-    """All irreducible solutions of density target (by default the minimum
-    density), one per shift class, sorted by length and digits."""
-    D = _normalize_set(D)
-    if target is not None and target <= 0:
-        raise ValueError(f"target density {target} is not positive")
-    lam, cycles = _cycles(D, min(s.density for s in _seed(D).values()), target)
+def _classes(D, cycles, dens: Fraction) -> list[ModSolution]:
+    """One solution of density dens per shift class of the cycles, by length and digits."""
     found: dict[tuple, ModSolution] = {}
     for phi, sizes in cycles:
         l = len(phi)
@@ -447,8 +441,18 @@ def minimal_irreducible_solutions(D, target: Fraction | None = None) -> list[Mod
                 for d in sub:
                     digits[d] = digits.get(d, 0) | 1 << (l - 1 - k)
             sol = ModSolution(l, tuple(sorted(digits.items())))
-            if sol.support() != tuple(phi) or sol.density != (target or lam):
+            if sol.support() != tuple(phi) or sol.density != dens:
                 raise AssertionError("a solution does not match its cycle")
             can = sol.canonical()
             found[can.digits] = can
     return sorted(found.values(), key=lambda s: (s.length, s.digits))
+
+
+def minimal_irreducible_solutions(D, target: Fraction | None = None) -> list[ModSolution]:
+    """All irreducible solutions of density target (by default the minimum
+    density), one per shift class, sorted by length and digits."""
+    D = _normalize_set(D)
+    if target is not None and target <= 0:
+        raise ValueError(f"target density {target} is not positive")
+    lam, cycles = _cycles(D, min(s.density for s in _seed(D).values()), target)
+    return _classes(D, cycles, target or lam)

@@ -200,6 +200,8 @@ class SweepSpec:
                     size *= q - 1 if e == deg else q
             if size > CURVE_CAP:
                 raise ValueError("exhaustive sweep larger than 2^20 curves")
+            if self.seed or self.count:
+                raise ValueError("an exhaustive sweep takes no seed or count")
         elif self.count < 1:
             raise ValueError("random sweep needs a positive count")
         elif self.count > CURVE_CAP:

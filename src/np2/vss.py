@@ -231,6 +231,8 @@ class VssReport:
 
 
 def vss_report(f: CurvePoly) -> VssReport:
+    if f.genus < 1:
+        raise ValueError("stable image needs genus at least 1")
     M = build_matrix(_frame(effective_exponent_set(f)).solutions, f)
     d = vss_dim(M)
     if d > 0:

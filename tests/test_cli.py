@@ -4,17 +4,18 @@ import stat
 import threading
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import np2.cli
-import np2.modsolve
 import np2.sweep
 import np2.zeta
 from np2.cli import main
 from helpers import fresh_process, run_cli
 from np2.field import TABLE_DEGREE_CAP
+from np2.modsolve import EDGE_CAP, ModSolution
 
 
 def run_json(capsys, argv):
@@ -93,14 +94,33 @@ def test_density_of_sets_off_the_windows(capsys, argv, value, length, witness):
     assert obj["witness"] == {"digits": witness, "length": length}
 
 
-def test_density_first_attained_past_the_witness_cap(capsys):
+def test_density_first_attained_at_length_60(capsys):
     # 61 divides 2^l - 1 only for 60 | l, so every solution of density 1/2
-    # has a length divisible by 60
+    # has a length divisible by 60, far past the length-by-length seed
     t0 = time.perf_counter()
-    assert main(["density", "--set", "61"]) == 3
+    code, obj = run_json(capsys, ["density", "--set", "61"])
     assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert (obj["value"], obj["length"]) == ("1/2", 60)
+    digits = tuple(np2.sweep.parse_coeffs(obj["witness"]["digits"]).items())
+    assert ModSolution(obj["witness"]["length"], digits).density == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, seconds",
+    [
+        (["density", "--max", "20001"], 1.0),
+        (["density", "--max", "200001"], 2.0),
+        (["vss", "--q", "2", "--coeffs", "100001:1"], 2.0),
+    ],
+)
+def test_large_set_refused_by_the_edge_cap_at_once(capsys, argv, seconds):
+    # the seed stops inside the edge budget, so the edge cap's lower bound refuses the graph
+    t0 = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - t0 < seconds
     err = capsys.readouterr().err
-    assert "is 1/2, first attained at length 60, past the witness cap 26" in err
+    assert err.startswith("error: the support graph of ") and err.endswith(f"more than {EDGE_CAP}\n")
 
 
 def test_minimal_subcommand(capsys):
@@ -154,6 +174,10 @@ def test_spec_error_exit_codes(capsys):
         (["density"], "give either --set or --max"),
         (["sweep", "--q", "2", "--g", "0"], "genus must be positive"),
         (["sweep", "--q", "4", "--g", "3", "--fix", "3:5"], "fixed value 5 outside F_4"),
+        # an exhaustive family has no draws for them to set
+        (["sweep", "--q", "2", "--g", "3", "--count", "5"], "an exhaustive sweep takes no seed or count"),
+        (["sweep", "--q", "2", "--g", "3", "--exhaustive", "--seed", "1"],
+         "an exhaustive sweep takes no seed or count"),
     ]:
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -165,14 +189,14 @@ def test_spec_error_exit_codes(capsys):
         # a target far above the density 1/5 of this window, where columns
         # with more than the fewest exponents could fit
         ["minimal", "--max", "61", "--exclude", "31", "--target", "1/2"],
-        # refused with the length cap lowered to 2: 1/3 sits at length 3
-        ["density", "--max", "13"],
         # past the extension-degree cap: extension degrees 23, 24 and 24
         ["np", "--q", "2", "--coeffs", "47:1"],
         ["zeta", "--q", "2", "--coeffs", "25:1", "--full"],
         ["sweep", "--q", "4", "--g", "12", "--random", "--count", "1"],
         ["minimal", "--set", "1,3", "--target", "0/1"],
         ["minimal", "--set", "1,3", "--target=-1/2"],
+        # genus 0: y^2 + y = x has L-polynomial 1 and no first vertex
+        ["vss", "--q", "2", "--coeffs", "1:1"],
     ],
 )
 def test_unsatisfiable_request_exits_3(capsys, monkeypatch, argv):
@@ -180,7 +204,6 @@ def test_unsatisfiable_request_exits_3(capsys, monkeypatch, argv):
         raise AssertionError("an exponential sum was computed before refusing")
 
     monkeypatch.setattr(np2.zeta, "exponential_sum", no_sums)
-    monkeypatch.setattr(np2.modsolve, "SIGMA_LENGTH_CAP", 2)
     t0 = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - t0 < 1.0

@@ -298,21 +298,15 @@ def test_density_single_exponent():
     assert r.value == 1 and r.length == 1
 
 
-def test_density_refused_past_the_witness_cap(monkeypatch):
-    # 1/3 is proven, but its first length 3 has no witness under a cap of 2
-    monkeypatch.setattr(np2.modsolve, "SIGMA_LENGTH_CAP", 2)
-    with pytest.raises(ValueError, match="is 1/3, first attained at length 3, past the witness cap 2"):
-        density(odds_up_to(13))
-
-
 def test_support_graph_refused_past_the_edge_cap(monkeypatch):
     # about 29 million edges; the refusal comes before any of them is built
     with pytest.raises(ValueError, match=r"up to density 1/9 has \d{8} edges on the states 1\.\.6240,"):
         density(odds_up_to(1001))
-    # about 3.7e10 edges: the edges of c = 0 and of each single exponent refuse
-    # the graph before the knapsack, which takes seconds on this set
+    # about 6.4e8 edges: the seed stops at length 10, inside the edge budget, and
+    # the edges of c = 0 and of each single exponent refuse the graph before the
+    # knapsack, which takes seconds on this set
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=r"up to density 1/12 has at least \d{9} edges on the states 1\.\.222611,"):
+    with pytest.raises(ValueError, match=r"up to density 1/10 has at least \d{9} edges on the states 1\.\.320480,"):
         density(odds_up_to(8001))
     assert time.perf_counter() - t0 < 2.0
     monkeypatch.setattr(np2.modsolve, "EDGE_CAP", 10)
@@ -390,8 +384,8 @@ def reference_max_feasible_length(w, maxd):
 @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 13, 20, SIGMA_LENGTH_CAP])
 def test_density_matches_separate_certificate(monkeypatch, cap):
     # the support graph against the length loop under the same cap on the
-    # lengths searched: a lower cap leaves the density and its first length
-    # as they are and refuses exactly where that length passes the cap, and
+    # lengths searched: a lower cap cuts the length-by-length seed short but
+    # leaves the density, its first length and its witness as they are, and
     # where the loop certifies its value the two agree on the value, the
     # first length and the witness. Both sides share one memo of the
     # per-length search.
@@ -403,14 +397,28 @@ def test_density_matches_separate_certificate(monkeypatch, cap):
     )
     for D in sets:
         *want, certified = reference_density(D)
-        if full[D].length > cap:
-            with pytest.raises(ValueError, match=f"length {full[D].length}, past the witness cap {cap}$"):
-                density(D)
-            continue
         r = density(D)
         assert r == full[D], D
         if certified:
             assert [r.value, r.length, r.witness] == want, D
+
+
+# the nine distinct sets, all single exponents, among 300 random sets of 1 to 6
+# odd exponents below 130 (seed 5) whose density is first attained past length
+# 26, where no breadth-first search runs, and two sets first attained below it
+PAST_THE_SEED = [(29,), (37,), (53,), (59,), (61,), (95,), (97,), (103,), (107,), (37, 83, 97), (47, 113)]
+
+
+@pytest.mark.parametrize("D", PAST_THE_SEED, ids=str)
+def test_density_witness_past_the_seed(D):
+    # where the seed stops before the first length, the witness is the first
+    # shift class of the tight cycles, a minimum-weight solution there
+    r = density(D)
+    assert r.length > max(np2.modsolve._seed(D))
+    assert r.witness == minimal_irreducible_solutions(D)[0]
+    assert (r.witness.density, r.witness.length) == (r.value, r.length)
+    if r.length <= SIGMA_LENGTH_CAP:
+        assert r.witness.weight == min_weight_solution(D, r.length).weight
 
 
 def test_minimal_solution_above_the_largest_exponent():

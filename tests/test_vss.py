@@ -403,8 +403,9 @@ def test_uncertified_density_raises(monkeypatch):
     monkeypatch.setattr(np2.vss, "_frame", np2.vss._frame.__wrapped__)
     # a refusal leaves nothing behind that a second call could reuse
     for _ in range(2):
-        # c = 0 and the single exponents give 9 of the 12 edges, already past the cap
-        with pytest.raises(ValueError, match=r"has at least 9 edges on the states 1\.\.4, more than 2"):
+        # the seed stops after length 1, at density 1, where c = 0 and the single
+        # exponents give 70 edges on the states 1..28, already past the cap
+        with pytest.raises(ValueError, match=r"density 1 has at least 70 edges on the states 1\.\.28, more than 2"):
             vss_report(curve(1, {7: 1}))
     monkeypatch.undo()
     assert vss_report(curve(1, {7: 1})).dim == 3
