@@ -3,22 +3,21 @@
 Exit codes: 0 clean, 2 oracle-vs-predictor disagreement (or selftest
 failure), 3 bad arguments, unsatisfiable request or unwritable report.
 
-A call that starts with a command name is parsed by a parser of that
-command alone, built from COMMANDS.  Whatever that parser refuses (-h, an
-abbreviation of --help, a missing, unknown, extra or malformed argument)
-is parsed again by the full parser of build_parser, which prints the help
-or the error and exits (0 for help, 3 for an error).  So a well-formed call
-never builds the full parser, and only the full parser writes help and
-error text.
+A call that starts with a command name is scanned against that command's
+options in COMMANDS, the table that build_parser also reads.  Whatever the
+scan is not sure of (-h, an abbreviation of --help, a missing, unknown,
+ambiguous, extra or malformed argument) is parsed again by the argparse
+parser of build_parser, which prints the help or the error and exits (0 for
+help, 3 for an error).  So a well-formed call builds no argparse parser, and
+only that parser writes help and error text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-# argparse's gettext imports locale when a parser is built: load it here, not in a command's run
-import locale  # noqa: F401
 import os
+import re
 import stat
 import sys
 from contextlib import ExitStack, contextmanager, suppress
@@ -337,66 +336,56 @@ def cmd_selftest(args) -> int:
     return 0
 
 
-def _add_curve_args(p):
-    p.add_argument("--q", type=_q_arg, required=True, help="field size, as 2^a")
-    p.add_argument(
-        "--coeffs",
-        type=_coeffs_arg,
-        required=True,
-        help="sparse coefficients e:bits[,e:bits...]",
-    )
-
-
-def _add_zeta_args(p):
-    _add_curve_args(p)
-    p.add_argument("--full", action="store_true", help="compute all coefficients and verify")
-
-
-def _add_set_args(p):
-    p.add_argument("--set", type=_ints_arg, help="explicit exponent set, comma list")
-    p.add_argument("--max", type=int, help="odd exponents up to this bound")
-    p.add_argument("--exclude", type=_ints_arg, help="exponents to drop from --max")
-
-
-def _add_minimal_args(p):
-    _add_set_args(p)
-    p.add_argument(
+# each command's options as (flag, add_argument keywords); the options marked
+# "exclusive" form one mutually exclusive group
+_CURVE = (
+    ("--q", {"type": _q_arg, "required": True, "help": "field size, as 2^a"}),
+    ("--coeffs", {"type": _coeffs_arg, "required": True, "help": "sparse coefficients e:bits[,e:bits...]"}),
+)
+_ZETA = (*_CURVE, ("--full", {"action": "store_true", "help": "compute all coefficients and verify"}))
+_SET = (
+    ("--set", {"type": _ints_arg, "help": "explicit exponent set, comma list"}),
+    ("--max", {"type": int, "help": "odd exponents up to this bound"}),
+    ("--exclude", {"type": _ints_arg, "help": "exponents to drop from --max"}),
+)
+_MINIMAL = (
+    *_SET,
+    (
         "--target",
-        type=_frac_arg,
-        default=None,
-        help="density to enumerate at (default: the density); it must not lie below the "
-        "density, and only as far above it as no solution can spend more than the "
-        "fewest exponents on a column",
-    )
+        {
+            "type": _frac_arg,
+            "default": None,
+            "help": "density to enumerate at (default: the density); it must not lie below the density, "
+            "and only as far above it as no solution can spend more than the fewest exponents on a column",
+        },
+    ),
+)
+_SWEEP = (
+    ("--q", {"type": _q_arg, "required": True}),
+    ("--g", {"type": int, "required": True}),
+    ("--exhaustive", {"action": "store_true", "exclusive": True}),
+    ("--random", {"action": "store_true", "exclusive": True}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--count", {"type": int, "default": 0}),
+    ("--fix", {"type": _coeffs_arg, "default": None, "help": "frozen coefficients e:bits[,...]"}),
+    ("--predictors", {"default": ",".join(PREDICTORS)}),
+    ("--out", {"default": None}),
+    ("--format", {"choices": ("jsonl", "csv"), "default": "jsonl"}),
+    ("--frontier", {"default": None, "help": "write per-case agreement table here"}),
+    ("--timing", {"action": "store_true", "help": "include wall time (breaks digest stability)"}),
+    ("--expect-frontier", {"action": "store_true", "help": "disagreements do not fail the run"}),
+)
 
-
-def _add_sweep_args(p):
-    p.add_argument("--q", type=_q_arg, required=True)
-    p.add_argument("--g", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true")
-    mode.add_argument("--random", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=0)
-    p.add_argument("--fix", type=_coeffs_arg, default=None, help="frozen coefficients e:bits[,...]")
-    p.add_argument("--predictors", default=",".join(PREDICTORS))
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.add_argument("--frontier", default=None, help="write per-case agreement table here")
-    p.add_argument("--timing", action="store_true", help="include wall time (breaks digest stability)")
-    p.add_argument("--expect-frontier", action="store_true", help="disagreements do not fail the run")
-
-
-# name -> (help, function adding its arguments, function running it), in help order
+# name -> (help, options, function running it), in help order
 COMMANDS = {
-    "zeta": ("L-polynomial coefficients", _add_zeta_args, cmd_zeta),
-    "np": ("Newton polygon vertices", _add_curve_args, cmd_np),
-    "density": ("2-density of an exponent set", _add_set_args, cmd_density),
-    "minimal": ("minimal irreducible solutions", _add_minimal_args, cmd_minimal),
-    "vss": ("stable-image first-vertex prediction", _add_curve_args, cmd_vss),
-    "classify": ("coefficient case ladder", _add_curve_args, cmd_classify),
-    "sweep": ("run predictors over a curve family", _add_sweep_args, cmd_sweep),
-    "selftest": ("frozen-value and small-sweep checks", lambda p: None, cmd_selftest),
+    "zeta": ("L-polynomial coefficients", _ZETA, cmd_zeta),
+    "np": ("Newton polygon vertices", _CURVE, cmd_np),
+    "density": ("2-density of an exponent set", _SET, cmd_density),
+    "minimal": ("minimal irreducible solutions", _MINIMAL, cmd_minimal),
+    "vss": ("stable-image first-vertex prediction", _CURVE, cmd_vss),
+    "classify": ("coefficient case ladder", _CURVE, cmd_classify),
+    "sweep": ("run predictors over a curve family", _SWEEP, cmd_sweep),
+    "selftest": ("frozen-value and small-sweep checks", (), cmd_selftest),
 }
 
 
@@ -404,34 +393,72 @@ def build_parser() -> argparse.ArgumentParser:
     # the help text is the module docstring without its last paragraph, on parsing
     parser = _Parser(prog="np2", description=__doc__ and __doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_args, func) in COMMANDS.items():
+    for name, (summary, options, func) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        add_args(p)
+        group = None
+        for flag, spec in options:
+            spec = dict(spec)
+            if spec.pop("exclusive", False):
+                group = group or p.add_mutually_exclusive_group()
+                group.add_argument(flag, **spec)
+            else:
+                p.add_argument(flag, **spec)
         p.set_defaults(func=func)
     return parser
 
 
-class _Refused(Exception):
-    pass
-
-
-class _CommandParser(argparse.ArgumentParser):
-    # refusals are reported by the full parser, which parses the call again
-    def error(self, message):
-        raise _Refused
+# argparse's test for an argument that starts with "-" yet is a value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _parse_command(name: str, argv: list[str]):
-    """argv parsed by the parser of command `name` alone, or None where it
-    refuses them, help included (it has no -h)."""
-    _, add_args, func = COMMANDS[name]
-    p = _CommandParser(prog=f"np2 {name}", add_help=False)
-    add_args(p)
-    p.set_defaults(command=name, func=func)
-    try:
-        return p.parse_args(argv)
-    except _Refused:
+    """The namespace that build_parser() gives for [name, *argv], scanned
+    from the command's options, or None where the scan cannot be sure of
+    it: help, a missing, unknown, ambiguous, extra or malformed argument,
+    two exclusive options, "--", or a value that starts with "-" and is not
+    a negative number."""
+    _, options, func = COMMANDS[name]
+    table = dict(options)
+    given = {}
+    words = iter(argv)
+    for arg in words:
+        flag, eq, value = arg.partition("=")
+        if not flag.startswith("--"):
+            return None
+        if flag not in table:
+            # a unique prefix stands for its option; "--help" is the parser's own
+            matches = [f for f in (*table, "--help") if f.startswith(flag)]
+            if len(matches) != 1 or matches[0] not in table:
+                return None
+            flag = matches[0]
+        spec = table[flag]
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+                return None
+        elif value == "--":
+            return None
+        try:
+            value = spec["type"](value) if "type" in spec else value
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    if sum(1 for flag in given if table[flag].get("exclusive")) > 1:
         return None
+    if any(spec.get("required") and flag not in given for flag, spec in options):
+        return None
+    args = argparse.Namespace(command=name, func=func)
+    for flag, spec in options:
+        default = spec.get("default", False if spec.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
 
 
 def main(argv=None) -> int:

@@ -27,7 +27,6 @@ import numpy as np
 
 SIGMA_LENGTH_CAP = 26
 EDGE_CAP = 1 << 21
-_BFS_CHUNK = 1 << 22
 
 
 def odds_up_to(n: int, exclude=()) -> tuple[int, ...]:
@@ -136,76 +135,41 @@ def _moves(D, l) -> list[int]:
     return sorted({d * (1 << r) % m for d in D for r in range(l)})
 
 
-def _bfs_distances(moves: list[int], m: int) -> np.ndarray:
-    """Minimum number of moves from 0 to the residues mod m, below sigma.
-
-    Levels up to sigma - 2 are complete.  Level sigma - 1 is the first
-    that holds a residue one move short of 0, and only those residues are
-    labelled there, as no other is read; deeper residues keep -1.
-    """
-    dist = np.full(m, -1, dtype=np.int8)
-    dist[0] = 0
-    mv = np.array(moves, dtype=np.int64)
-    if mv[0] == 0:  # sigma is 1
-        return dist
-    ends = m - mv  # the residues one move short of 0
-    step = max(1, _BFS_CHUNK // mv.size)
-    frontier = np.array([0], dtype=np.int64)
-    level = 0
-    while True:
-        level += 1
-        if level > 120:
-            raise AssertionError("search depth exceeded")
-        # The level is sigma - 1 if it reaches an end, and then only the
-        # ends are labelled.  No end is labelled earlier, and a negative
-        # index into dist is the residue mod m.
-        closing = np.zeros(ends.size, dtype=bool)
-        for i in range(0, ends.size, step):
-            back = ends[i : i + step, None] - mv[None, :]
-            closing[i : i + step] = (dist[back] == level - 1).any(axis=1)
-        if closing.any():
-            dist[ends[closing]] = level
-            return dist
-        # otherwise scatter the whole level into marks
-        mark = np.zeros(m, dtype=bool)
-        for i in range(0, frontier.size, step):
-            block = frontier[i : i + step, None] + mv[None, :]
-            block[block >= m] -= m
-            mark[block.ravel()] = True
-        frontier = np.flatnonzero(mark & (dist < 0))
-        dist[frontier] = level
-
-
 def min_weight_solution(D, l: int) -> ModSolution:
-    """A minimum-weight solution of length l, found by breadth-first search."""
+    """A minimum-weight solution of length l, found by breadth-first search.
+
+    Each level is a bitset over the residues mod m = 2^l - 1, a Python int:
+    level k holds the residues k moves from 0 and no fewer.  The next level
+    is the OR, over the moves, of the level rotated by the move, less every
+    residue already seen, so one level costs about |moves| m / 64 words.
+    The search stops at the first level that holds an end, a residue one
+    move short of 0, and walks back taking the first move in sorted order.
+    """
     D = _normalize_set(D)
     if not 1 <= l <= SIGMA_LENGTH_CAP:
         raise ValueError(f"length {l} out of range 1..{SIGMA_LENGTH_CAP}")
     m = (1 << l) - 1
     moves = _moves(D, l)
-    dist = _bfs_distances(moves, m)
-    best = None
+    ends = 0
     for mv in moves:
-        t = (m - mv) % m
-        if dist[t] >= 0 and (best is None or 1 + dist[t] < best[0]):
-            best = (1 + int(dist[t]), t, mv)
-    if best is None:
-        raise AssertionError("unreachable: d * (2^l - 1) is always a solution")
-    total, cur, last = best
-    word = [last]
-    for k in range(total - 1, 0, -1):
+        ends |= 1 << (m - mv) % m
+    levels, seen = [1], 1
+    while not levels[-1] & ends:
+        reach = 0
         for mv in moves:
-            prev = (cur - mv) % m
-            if dist[prev] == k - 1:
-                word.append(mv)
-                cur = prev
-                break
-        else:
-            raise AssertionError("backward walk failed")
-    if cur != 0:
-        raise AssertionError("walk did not return to the origin")
+            reach |= levels[-1] << mv
+        level = ((reach & ((1 << m) - 1)) | reach >> m) & ~seen
+        if not level:
+            raise AssertionError("unreachable: d * (2^l - 1) is always a solution")
+        levels.append(level)
+        seen |= level
+    word = [next(mv for mv in moves if levels[-1] >> (m - mv) % m & 1)]
+    cur = (m - word[0]) % m
+    for level in levels[-2::-1]:
+        word.append(next(mv for mv in moves if level >> (cur - mv) % m & 1))
+        cur = (cur - word[-1]) % m
     sol = _word_to_solution(word, D, l)
-    if sol.weight != total:
+    if sol.weight != len(word):
         raise AssertionError("witness weight does not match search depth")
     return sol
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from np2.field import FieldCtx, embed_bits, field_table, make_ctx
 from np2.hasse import MIN_GENUS, TheoremCase
-from np2.modsolve import ModSolution, odds_up_to
+from np2.modsolve import ModSolution, _moves, _word_to_solution, odds_up_to
 from np2.sweep import COLUMNS, _csv_cell, record_row
 from np2.zeta import _LEADER_BLOCK, CurvePoly, _basis, _orbit_leaders, _Orbits
 
@@ -62,6 +62,82 @@ def scalar_sigma(D, l):
                 dist[y] = dist[x] + 1
                 queue.append(y)
     raise AssertionError("unreachable: d * (2^l - 1) is always a solution")
+
+
+# scratch memory of bfs_distances: residues per gather block
+BFS_CHUNK = 1 << 22
+
+
+def bfs_distances(moves: list[int], m: int) -> np.ndarray:
+    """Minimum number of moves from 0 to the residues mod m, below sigma.
+
+    Levels up to sigma - 2 are complete.  Level sigma - 1 is the first
+    that holds a residue one move short of 0, and only those residues are
+    labelled there, as no other is read; deeper residues keep -1.
+    """
+    dist = np.full(m, -1, dtype=np.int8)
+    dist[0] = 0
+    mv = np.array(moves, dtype=np.int64)
+    if mv[0] == 0:  # sigma is 1
+        return dist
+    ends = m - mv  # the residues one move short of 0
+    step = max(1, BFS_CHUNK // mv.size)
+    frontier = np.array([0], dtype=np.int64)
+    level = 0
+    while True:
+        level += 1
+        if level > 120:
+            raise AssertionError("search depth exceeded")
+        # The level is sigma - 1 if it reaches an end, and then only the
+        # ends are labelled.  No end is labelled earlier, and a negative
+        # index into dist is the residue mod m.
+        closing = np.zeros(ends.size, dtype=bool)
+        for i in range(0, ends.size, step):
+            back = ends[i : i + step, None] - mv[None, :]
+            closing[i : i + step] = (dist[back] == level - 1).any(axis=1)
+        if closing.any():
+            dist[ends[closing]] = level
+            return dist
+        # otherwise scatter the whole level into marks
+        mark = np.zeros(m, dtype=bool)
+        for i in range(0, frontier.size, step):
+            block = frontier[i : i + step, None] + mv[None, :]
+            block[block >= m] -= m
+            mark[block.ravel()] = True
+        frontier = np.flatnonzero(mark & (dist < 0))
+        dist[frontier] = level
+
+
+def reference_min_weight_solution(D, l: int, distances=bfs_distances) -> ModSolution:
+    """min_weight_solution from a numpy array of distances: the first move
+    in sorted order that closes a walk of least weight, then, walking back,
+    the first move in sorted order onto the level below."""
+    D = tuple(sorted(set(D)))
+    m = (1 << l) - 1
+    moves = _moves(D, l)
+    dist = distances(moves, m)
+    best = None
+    for mv in moves:
+        t = (m - mv) % m
+        if dist[t] >= 0 and (best is None or 1 + dist[t] < best[0]):
+            best = (1 + int(dist[t]), t, mv)
+    total, cur, last = best
+    word = [last]
+    for k in range(total - 1, 0, -1):
+        for mv in moves:
+            prev = (cur - mv) % m
+            if dist[prev] == k - 1:
+                word.append(mv)
+                cur = prev
+                break
+        else:
+            raise AssertionError("backward walk failed")
+    if cur != 0:
+        raise AssertionError("walk did not return to the origin")
+    sol = _word_to_solution(word, D, l)
+    if sol.weight != total:
+        raise AssertionError("witness weight does not match search depth")
+    return sol
 
 
 def exhaustive_irreducible_classes(D, l, w):

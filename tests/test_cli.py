@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import random
 import stat
 import threading
 import time
@@ -454,6 +456,7 @@ ACCEPTED = [
     ["density", "--ma", "29", "--ex", "15"],
     ["density", "--max", "13", "--exclude", "-3"],
     ["density", "--max=13", "--exclude=-3,5"],
+    ["density", "--max", "13", "--exclude=-3"],
     ["density", "--set", "3,47"],
     ["density"],
     ["minimal", "--max", "29", "--exclude", "15", "--target", "2/7"],
@@ -468,6 +471,7 @@ ACCEPTED = [
         "--predictors", "vss", "--out", "r.csv", "--format", "csv", "--frontier", "f.json",
         "--timing", "--expect-frontier",
     ],
+    ["sweep", "--q", "2", "--g", "3", "--out", ""],
     ["selftest"],
 ]
 
@@ -499,6 +503,10 @@ REFUSED = [
     ["density", "--max", "13", "--", "15"],
     ["selftest", "x"],
     ["minimal", "--set", "1,3", "--target", "1/0"],
+    ["sweep", "--q", "2", "--g", "3", "--f", "x"],
+    ["sweep", "--q", "2", "--g", "3", "--timing=1"],
+    ["minimal", "--set", "1,3", "--target", "-1/2"],
+    ["density", "--max", "13", "--"],
 ]
 
 
@@ -524,20 +532,57 @@ def test_refused_call_is_reported_by_the_full_parser(capsys, monkeypatch, argv):
 
 
 def test_well_formed_call_builds_no_full_parser(capsys, monkeypatch):
-    builds = []
+    builds, parsers = [], []
     build_parser = np2.cli.build_parser
+    init = argparse.ArgumentParser.__init__
 
     def counted():
         builds.append(1)
         return build_parser()
 
+    def counted_init(self, *args, **kwargs):
+        parsers.append(1)
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(np2.cli, "build_parser", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for argv in ACCEPTED:
+        assert np2.cli._parse_command(argv[0], argv[1:]) is not None
     assert main(["density", "--max", "13"]) == 0
-    assert builds == []
+    assert (builds, parsers) == ([], [])
     with pytest.raises(SystemExit):
         main(["density", "--max", "x"])
-    assert builds == [1]
+    assert builds == [1] and parsers
     capsys.readouterr()
+
+
+# the words a random call is drawn from: flags, prefixes, values and their forms
+CALL_WORDS = [
+    "--q", "--q=2", "--c", "--coeffs", "--co=7:1", "--full", "--fu=1", "--set", "--se=3,5", "--max",
+    "--m=13", "--ma", "--exclude", "--ex=-3", "--target", "--t=-1/2", "--g", "--g=-1", "--exh",
+    "--random", "--r", "--seed", "--count", "--fix", "--f", "--fo", "--format", "--predictors",
+    "--out", "--out=", "--fr=--", "--fr", "--timing", "--expect-frontier", "--e", "--he", "-h", "--", "-",
+    "2", "2^1", "3", "4", "-3", "-1.5", "13", "7:1,5:1", "3,5", "2/7", "-1/2", "1/0", "x", "",
+    "csv", "xml", "vss", "a b", "-x y", "--=2", "=",
+]
+
+
+def test_scanned_calls_match_the_full_parser(capsys):
+    # each call is an accepted one with random words put in or in place of its own
+    rng = random.Random(24)
+    scanned = 0
+    for _ in range(6000):
+        argv = list(rng.choice(ACCEPTED))
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randint(1, len(argv))
+            argv[i : i + rng.randint(0, 1)] = [rng.choice(CALL_WORDS)]
+        name = argv[0]
+        args = np2.cli._parse_command(name, argv[1:])
+        if args is not None:
+            scanned += 1
+            assert vars(args) == vars(np2.cli.build_parser().parse_args(argv)), argv
+    capsys.readouterr()
+    assert scanned > 100
 
 
 @pytest.mark.parametrize("argv", [["density", "--max", "13"], ["density", "-h"], ["frob"]])

@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 
 import np2.modsolve
-from helpers import PAPER_SETS, exhaustive_irreducible_classes, scalar_sigma
+from helpers import (
+    BFS_CHUNK,
+    PAPER_SETS,
+    bfs_distances,
+    exhaustive_irreducible_classes,
+    reference_min_weight_solution,
+    scalar_sigma,
+)
 from np2.modsolve import (
-    _BFS_CHUNK,
     SIGMA_LENGTH_CAP,
     ModSolution,
-    _bfs_distances,
     _moves,
     _support_bound,
     density,
@@ -163,7 +168,7 @@ def test_sigma_matches_scalar_bfs_paper_sets():
 
 
 def full_depth_bfs_distances(moves, m):
-    """Reference for _bfs_distances: every level, each deduplicated by np.unique."""
+    """Reference for bfs_distances: every level, each deduplicated by np.unique."""
     dist = np.full(m, -1, dtype=np.int8)
     dist[0] = 0
     mv = np.array(moves, dtype=np.int64)
@@ -173,7 +178,7 @@ def full_depth_bfs_distances(moves, m):
         level += 1
         if level > 120:
             raise AssertionError("search depth exceeded")
-        step = max(1, _BFS_CHUNK // mv.size)
+        step = max(1, BFS_CHUNK // mv.size)
         parts = []
         for i in range(0, frontier.size, step):
             block = (frontier[i : i + step, None] + mv[None, :]) % m
@@ -198,25 +203,40 @@ N4_PAPER_SETS = [
 N5_SETS = [odds_up_to(33, (31,)), odds_up_to(47, (29, 31)), odds_up_to(61, (31, 47))]
 
 
-def test_witness_matches_full_depth_search(monkeypatch):
+def test_witness_matches_full_depth_search():
     cases = [(D, l) for D in N4_PAPER_SETS for l in range(1, 14)]
     cases += [(D, l) for D in N5_SETS for l in range(1, 13)]
-    got = [min_weight_solution(D, l) for D, l in cases]
-    monkeypatch.setattr(np2.modsolve, "_bfs_distances", full_depth_bfs_distances)
-    want = [min_weight_solution(D, l) for D, l in cases]
-    assert got == want
+    for D, l in cases:
+        assert min_weight_solution(D, l) == reference_min_weight_solution(D, l, full_depth_bfs_distances), (D, l)
 
 
 @pytest.mark.parametrize("D", [odds_up_to(17, (15,)), odds_up_to(61, (31, 47))])
 @pytest.mark.parametrize("l", [12, 13])
 def test_search_stops_at_the_closing_level(D, l):
-    # the search ends with level sigma - 1; a full-depth search goes deeper
+    # the reference search ends with level sigma - 1; a full-depth search goes deeper
     m = (1 << l) - 1
     moves = _moves(D, l)
-    dist = _bfs_distances(moves, m)
+    dist = bfs_distances(moves, m)
     assert dist.max() == scalar_sigma(D, l) - 1
     # on that last level only residues one move short of 0 are labelled
     assert all((m - x) % m in moves for x in np.flatnonzero(dist == dist.max()))
+    assert min_weight_solution(D, l) == reference_min_weight_solution(D, l)
+
+
+def test_witness_matches_reference_on_random_sets():
+    rng = random.Random(24)
+    for _ in range(300):
+        D = tuple(sorted(rng.sample(range(1, 260, 2), rng.randint(1, 7))))
+        for l in range(1, 15):
+            assert min_weight_solution(D, l) == reference_min_weight_solution(D, l), (D, l)
+
+
+def test_long_search_is_fast():
+    # on a 2-vCPU guest the bitset levels take about 0.1 s, the numpy reference about 1.9 s
+    start = time.perf_counter()
+    got = min_weight_solution((3, 5), 22)
+    assert time.perf_counter() - start < 0.5
+    assert got == reference_min_weight_solution((3, 5), 22)
 
 
 def test_sigma_length_cap():
