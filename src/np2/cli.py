@@ -201,24 +201,48 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _stat(path):
+    """os.stat of a path or a file descriptor, or None where it fails."""
+    try:
+        return os.stat(path)
+    except OSError:
+        return None
+
+
+def _same_file(a, b) -> bool:
+    """Whether a and b, each a path or a file descriptor, name one file: the
+    same device and inode where both exist, else the same real path."""
+    sa, sb = _stat(a), _stat(b)
+    if sa and sb:
+        return os.path.samestat(sa, sb)
+    return isinstance(a, str) and isinstance(b, str) and os.path.realpath(a) == os.path.realpath(b)
+
+
 @contextmanager
 def _reports(*paths):
     """One open file per path (None for None), all opened before the block.
 
-    A new path, or one that resolves to a regular file, is written to a
-    temporary file beside it, which replaces it only if the block ends
-    without error and is removed otherwise.  A new report takes its mode
-    from the umask, an existing one keeps its own.  Any other existing
-    path (a device, a FIFO, /dev/stdout) is opened as given, in place.
+    A path that names the file of fd 1 or fd 2 is written through
+    sys.stdout or sys.stderr, in place: a shell's >> or 2> file is neither
+    truncated nor replaced.  A new path, or one that resolves to another
+    regular file, is written to a temporary file beside it, which replaces
+    it only if the block ends without error and is removed otherwise.  A
+    new report takes its mode from the umask, an existing one keeps its
+    own.  Any other existing path (a device, a FIFO) is opened as given, in
+    place.
     """
     temps = {}  # temporary file -> the file it replaces
 
     def open_report(path, stack):
-        mode = os.stat(path).st_mode if os.path.exists(path) else None
-        if mode is not None and not stat.S_ISREG(mode):
+        for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+            if _same_file(path, fd):
+                stack.callback(stream.flush)
+                return stream
+        st = _stat(path)
+        if st is not None and not stat.S_ISREG(st.st_mode):
             return stack.enter_context(open(path, "w"))
         target = os.path.realpath(path)
-        if mode is not None:
+        if st is not None:
             os.close(os.open(target, os.O_WRONLY))  # refuse a report we may not write
         head, tail = os.path.split(target)
         temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
@@ -228,8 +252,8 @@ def _reports(*paths):
             e.filename = path
             raise
         temps[temp] = target
-        if mode is not None:
-            os.chmod(temp, stat.S_IMODE(mode))
+        if st is not None:
+            os.chmod(temp, stat.S_IMODE(st.st_mode))
         return fh
 
     try:
@@ -255,8 +279,9 @@ def cmd_sweep(args) -> int:
         tuple(args.predictors.split(",")),
     )
     spec.validate()
-    if args.out and args.frontier and os.path.realpath(args.out) == os.path.realpath(args.frontier):
-        raise ValueError("--out and --frontier name the same file")
+    # without --out the report goes to stdout, fd 1
+    if args.frontier and _same_file(args.out or 1, args.frontier):
+        raise ValueError(f"{'--out' if args.out else 'stdout'} and --frontier name the same file")
     # an unwritable report fails here, before any curve is evaluated
     with _reports(args.out, args.frontier) as (out, frontier):
         sweep, summary = run_sweep(spec)
@@ -273,22 +298,27 @@ def cmd_sweep(args) -> int:
 def _selftest_checks():
     from fractions import Fraction as F
 
+    def expect(ok: bool) -> None:
+        # raised explicitly, so that python -O keeps the checks
+        if not ok:
+            raise AssertionError
+
     def check_moduli():
         frozen = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 8: 0b100011011}
         for a, poly in frozen.items():
-            assert smallest_irreducible(a) == poly
+            expect(smallest_irreducible(a) == poly)
 
     def check_zeta():
-        assert l_polynomial(CurvePoly.make(1, {3: 1})) == [1, 0, 2]
+        expect(l_polynomial(CurvePoly.make(1, {3: 1})) == [1, 0, 2])
         l_polynomial(CurvePoly.make(1, {7: 1, 1: 1}), full=True)
 
     def check_modsolve():
-        assert density(odds_up_to(13)).value == F(1, 3)
+        expect(density(odds_up_to(13)).value == F(1, 3))
         # first attained past the length-by-length seed, which stops at length 6
         r = density((3, 47))
-        assert (r.value, r.length, r.witness.digits) == (F(3, 8), 16, ((3, 1), (47, 19521)))
+        expect((r.value, r.length, r.witness.digits) == (F(3, 8), 16, ((3, 1), (47, 19521))))
         sols = minimal_irreducible_solutions(odds_up_to(29, exclude=(15,)), target=F(2, 7))
-        assert len(sols) == 4
+        expect(len(sols) == 4)
 
     def check_vss():
         cases = {
@@ -297,17 +327,17 @@ def _selftest_checks():
             (11, 5): (5, F(2)),
         }
         for (e1, e2), want in cases.items():
-            assert predict_first_vertex(CurvePoly.make(1, {e1: 1, e2: 1})) == want
+            expect(predict_first_vertex(CurvePoly.make(1, {e1: 1, e2: 1})) == want)
 
     def check_hasse():
-        assert classify(CurvePoly.make(1, {29: 1, 23: 1})).vertex == (8, 2)
-        assert classify(CurvePoly.make(1, {29: 1, 15: 1})).vertex == (4, 1)
-        assert classify(CurvePoly.make(1, {25: 1, 13: 1, 23: 1})).vertex == (7, 2)
+        expect(classify(CurvePoly.make(1, {29: 1, 23: 1})).vertex == (8, 2))
+        expect(classify(CurvePoly.make(1, {29: 1, 15: 1})).vertex == (4, 1))
+        expect(classify(CurvePoly.make(1, {25: 1, 13: 1, 23: 1})).vertex == (7, 2))
 
     def check_oracle_vs_vss():
         # every F_2 curve of genus 1..4; a curve with no rank verdict counts as no disagreement
         for g in (1, 2, 3, 4):
-            assert run_sweep(SweepSpec(1, g, predictors=("oracle", "vss")))[1].oracle_disagreements == 0
+            expect(run_sweep(SweepSpec(1, g, predictors=("oracle", "vss")))[1].oracle_disagreements == 0)
 
     return [
         ("canonical moduli", check_moduli),

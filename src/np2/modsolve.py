@@ -103,16 +103,21 @@ class ModSolution:
             self.length, tuple((d, _rotl(u, self.length)) for d, u in self.digits)
         )
 
+    def _rotations(self):
+        """The digits rotated by 0, 1, ..., l - 1 bits."""
+        rot = self.digits
+        for _ in range(self.length):
+            yield rot
+            rot = tuple((d, _rotl(u, self.length)) for d, u in rot)
+
     def support(self) -> tuple[int, ...]:
         m = self.modulus
         out = []
-        rot = list(self.digits)
-        for _ in range(self.length):
+        for rot in self._rotations():
             tot = sum(d * u for d, u in rot)
             if tot % m:
                 raise AssertionError("support value not an integer")
             out.append(tot // m)
-            rot = [(d, _rotl(u, self.length)) for d, u in rot]
         return tuple(out)
 
     def is_irreducible(self) -> bool:
@@ -121,18 +126,7 @@ class ModSolution:
 
     def canonical(self) -> "ModSolution":
         """Lexicographically smallest rotation; shift-class representative."""
-        best = None
-        cur = self
-        for _ in range(self.length):
-            if best is None or cur.digits < best.digits:
-                best = cur
-            cur = cur.shift()
-        return best
-
-
-def _moves(D, l) -> list[int]:
-    m = (1 << l) - 1
-    return sorted({d * (1 << r) % m for d in D for r in range(l)})
+        return ModSolution(self.length, min(self._rotations()))
 
 
 def min_weight_solution(D, l: int) -> ModSolution:
@@ -149,7 +143,12 @@ def min_weight_solution(D, l: int) -> ModSolution:
     if not 1 <= l <= SIGMA_LENGTH_CAP:
         raise ValueError(f"length {l} out of range 1..{SIGMA_LENGTH_CAP}")
     m = (1 << l) - 1
-    moves = _moves(D, l)
+    # each move d 2^r mod m with its first (d, r), d then r ascending
+    first = {}
+    for d in D:
+        for r in range(l):
+            first.setdefault(d * (1 << r) % m, (d, r))
+    moves = sorted(first)
     ends = 0
     for mv in moves:
         ends |= 1 << (m - mv) % m
@@ -163,30 +162,19 @@ def min_weight_solution(D, l: int) -> ModSolution:
             raise AssertionError("unreachable: d * (2^l - 1) is always a solution")
         levels.append(level)
         seen |= level
-    word = [next(mv for mv in moves if levels[-1] >> (m - mv) % m & 1)]
-    cur = (m - word[0]) % m
-    for level in levels[-2::-1]:
-        word.append(next(mv for mv in moves if level >> (cur - mv) % m & 1))
-        cur = (cur - word[-1]) % m
-    sol = _word_to_solution(word, D, l)
-    if sol.weight != len(word):
-        raise AssertionError("witness weight does not match search depth")
-    return sol
-
-
-def _word_to_solution(word: list[int], D, l: int) -> ModSolution:
-    m = (1 << l) - 1
-    pre = {}
-    for d in D:
-        for r in range(l):
-            pre.setdefault(d * (1 << r) % m, (d, r))
+    # from 0, one move back onto each level down to level 0, which holds only 0
     acc: dict[int, int] = {}
-    for mv in word:
-        d, r = pre[mv]
+    cur = 0
+    for level in reversed(levels):
+        mv = next(mv for mv in moves if level >> (cur - mv) % m & 1)
+        cur = (cur - mv) % m
+        d, r = first[mv]
         acc[d] = acc.get(d, 0) + (1 << r)
     # fold end-around carries back into l bits; residues are unchanged
-    digits = tuple(sorted((d, (u - 1) % m + 1) for d, u in acc.items()))
-    return ModSolution(l, digits)
+    sol = ModSolution(l, tuple(sorted((d, (u - 1) % m + 1) for d, u in acc.items())))
+    if sol.weight != len(levels):
+        raise AssertionError("witness weight does not match search depth")
+    return sol
 
 
 @dataclass(frozen=True)

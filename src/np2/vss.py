@@ -73,7 +73,8 @@ class _Frame:
                         continue
                     k = l - 1 - r
                     si, sj = phi[k], phi[(k + 1) % l]
-                    assert 2 * si - sj == d
+                    if 2 * si - sj != d:
+                        raise AssertionError(f"support step {si} -> {sj} does not jump by {d}")
                     prev = jump_edges.setdefault((si, sj), d)
                     if prev != d:
                         raise ValueError(f"ambiguous entry at ({si}, {sj})")

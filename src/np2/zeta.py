@@ -416,19 +416,18 @@ def family_first_vertices(
     sums = []
     for m in range(1, g + 1):
         am = a * m
+        n = (1 << am) - 1
         orbits = _orbit_leaders(a, am)
-        # bit 0: Tr of the fixed part of f(x); bit 1 + a k + i: Tr(beta_i x^e)
-        # for the k-th free exponent e from the top
-        fixed_row = np.zeros(orbits.mask.size, dtype=np.uint64)
+        words = _trace_words(a, am)
+        leaders = orbits.leaders.astype(np.int64)
+        # over the leaders j, x = g^j: bit 0 is Tr of the fixed part of f(x),
+        # the parity of T[j e] & c over its (e, c); bits 1 + a k .. a k + a are
+        # T[j e] for the k-th free exponent e from the top
+        pattern = np.zeros(leaders.size, dtype=np.int64)
         for e, c in frozen.items():
-            rows = _leader_rows(a, am, e)
-            for i in range(a):
-                if c >> i & 1:
-                    fixed_row ^= rows[i]
-        pattern = _unpack(fixed_row).astype(np.int64)
+            pattern ^= np.bitwise_count(words.take(leaders * e % n) & c) & 1
         for k, e in enumerate(reversed(free)):
-            for i, row in enumerate(_leader_rows(a, am, e)):
-                pattern |= _unpack(row).astype(np.int64) << (1 + a * k + i)
+            pattern |= words.take(leaders * e % n).astype(np.int64) << (1 + a * k)
         counts = np.zeros(2 << nbits, dtype=np.int64)
         for s, c, lo in zip(orbits.sizes, orbits.counts, orbits.bounds):
             seg = pattern[64 * lo : 64 * lo + c]
@@ -441,10 +440,6 @@ def family_first_vertices(
             spectrum = spectrum.reshape(-1, q)[:, 1:].ravel()
         sums.append(spectrum)
     return _first_vertices(a, g, sums)
-
-
-def _unpack(row: np.ndarray) -> np.ndarray:
-    return np.unpackbits(row.view(np.uint8), bitorder="little")
 
 
 # bytes of packed trace words that curves_first_vertices XORs per chunk

@@ -16,7 +16,7 @@ import numpy as np
 
 from np2.field import FieldCtx, embed_bits, field_table, make_ctx
 from np2.hasse import MIN_GENUS, TheoremCase
-from np2.modsolve import ModSolution, _moves, _word_to_solution, odds_up_to
+from np2.modsolve import ModSolution, odds_up_to
 from np2.sweep import COLUMNS, _csv_cell, record_row
 from np2.zeta import _LEADER_BLOCK, CurvePoly, _basis, _orbit_leaders, _Orbits
 
@@ -108,13 +108,35 @@ def bfs_distances(moves: list[int], m: int) -> np.ndarray:
         dist[frontier] = level
 
 
+def all_moves(D, l) -> list[int]:
+    """Every move d * 2^r mod 2^l - 1, sorted."""
+    m = (1 << l) - 1
+    return sorted({d * (1 << r) % m for d in D for r in range(l)})
+
+
+def word_to_solution(word: list[int], D, l: int) -> ModSolution:
+    """The solution of a closed walk of moves, each taken as its first (d, r)."""
+    m = (1 << l) - 1
+    pre = {}
+    for d in D:
+        for r in range(l):
+            pre.setdefault(d * (1 << r) % m, (d, r))
+    acc: dict[int, int] = {}
+    for mv in word:
+        d, r = pre[mv]
+        acc[d] = acc.get(d, 0) + (1 << r)
+    # fold end-around carries back into l bits; residues are unchanged
+    digits = tuple(sorted((d, (u - 1) % m + 1) for d, u in acc.items()))
+    return ModSolution(l, digits)
+
+
 def reference_min_weight_solution(D, l: int, distances=bfs_distances) -> ModSolution:
     """min_weight_solution from a numpy array of distances: the first move
     in sorted order that closes a walk of least weight, then, walking back,
     the first move in sorted order onto the level below."""
     D = tuple(sorted(set(D)))
     m = (1 << l) - 1
-    moves = _moves(D, l)
+    moves = all_moves(D, l)
     dist = distances(moves, m)
     best = None
     for mv in moves:
@@ -134,7 +156,7 @@ def reference_min_weight_solution(D, l: int, distances=bfs_distances) -> ModSolu
             raise AssertionError("backward walk failed")
     if cur != 0:
         raise AssertionError("walk did not return to the origin")
-    sol = _word_to_solution(word, D, l)
+    sol = word_to_solution(word, D, l)
     if sol.weight != total:
         raise AssertionError("witness weight does not match search depth")
     return sol
@@ -342,9 +364,14 @@ def fresh_process(code):
     return printed, int(tables), int(peak_kb)
 
 
+def run_python(args, **kwargs):
+    """A fresh interpreter with np2 importable, given args, stopped after 60 s."""
+    return subprocess.run([sys.executable, *args], env=_np2_env(), text=True, timeout=60, **kwargs)
+
+
 def run_cli(argv, **kwargs):
     """np2.cli run as a script in a fresh interpreter, stopped after 60 s."""
-    return subprocess.run([sys.executable, "-m", "np2.cli", *argv], env=_np2_env(), text=True, timeout=60, **kwargs)
+    return run_python(["-m", "np2.cli", *argv], **kwargs)
 
 
 def _np2_env():

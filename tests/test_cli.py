@@ -3,6 +3,7 @@ import json
 import os
 import random
 import stat
+import subprocess
 import threading
 import time
 from dataclasses import replace
@@ -15,7 +16,7 @@ import np2.cli
 import np2.sweep
 import np2.zeta
 from np2.cli import main
-from helpers import fresh_process, run_cli
+from helpers import fresh_process, run_cli, run_python
 from np2.field import TABLE_DEGREE_CAP
 from np2.modsolve import EDGE_CAP, ModSolution
 
@@ -356,7 +357,12 @@ def test_sweep_writes_a_fifo_in_place(tmp_path):
     fifo = tmp_path / "report"
     os.mkfifo(fifo)
     lines = []
-    reader = threading.Thread(target=lambda: lines.extend(fifo.open()), daemon=True)
+
+    def read():
+        with fifo.open() as fh:
+            lines.extend(fh)
+
+    reader = threading.Thread(target=read, daemon=True)
     reader.start()
     try:
         done = run_cli(["sweep", "--q", "2", "--g", "3", "--out", str(fifo)], capture_output=True)
@@ -380,6 +386,43 @@ def test_sweep_writes_a_piped_stdout_in_place():
     assert json.loads(done.stderr)["total"] == 8
 
 
+def test_report_to_an_appended_stdout_keeps_the_earlier_lines(tmp_path):
+    # a shell's `>> log`: the report is written after what log holds
+    log = tmp_path / "log"
+    log.write_text("earlier\n")
+    with log.open("a") as fh:
+        done = run_cli(["sweep", "--q", "2", "--g", "3", "--out", "/dev/stdout"], stdout=fh, stderr=subprocess.PIPE)
+    assert done.returncode == 0, done.stderr
+    lines = log.read_text().splitlines()
+    assert lines[0] == "earlier" and len(lines) == 9
+    assert all(json.loads(line)["oracle"] == [3, "1/1"] for line in lines[1:])
+    assert json.loads(done.stderr)["total"] == 8
+
+
+def test_report_to_a_redirected_stderr_keeps_the_summary(tmp_path):
+    # a shell's `2> err.log`: the summary line follows the report
+    err = tmp_path / "err.log"
+    with err.open("w") as fh:
+        done = run_cli(["sweep", "--q", "2", "--g", "3", "--out", "/dev/stderr"], stdout=subprocess.PIPE, stderr=fh)
+    assert done.returncode == 0 and done.stdout == ""
+    lines = err.read_text().splitlines()
+    assert len(lines) == 9 and all(json.loads(line)["oracle"] == [3, "1/1"] for line in lines[:-1])
+    assert json.loads(lines[-1])["total"] == 8
+
+
+def test_frontier_on_the_stdout_report_is_refused(tmp_path):
+    # without --out the report goes to stdout, so a frontier there would land in it
+    argv = ["sweep", "--q", "2", "--g", "3", "--frontier", "/dev/stdout"]
+    out = tmp_path / "out"
+    with out.open("w") as fh:
+        done = run_cli(argv, stdout=fh, stderr=subprocess.PIPE)
+    assert done.returncode == 3 and out.read_text() == ""
+    assert done.stderr == "error: stdout and --frontier name the same file\n"
+    done = run_cli(argv, capture_output=True)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == "error: stdout and --frontier name the same file\n"
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_genus16_sweep_memory(tmp_path):
     # exhaustive F_2 genus 16 (65536 curves) with both reports, in a fresh
@@ -388,7 +431,8 @@ def test_genus16_sweep_memory(tmp_path):
     argv = ["sweep", "--q", "2", "--g", "16", "--exhaustive", "--out", str(out), "--frontier", str(frontier)]
     code, tables, peak_kb = fresh_process(f"import np2.cli\nprint(np2.cli.main({argv!r}))\n")
     assert code == "0" and tables == 0
-    assert sum(1 for _ in out.open()) == 1 << 16
+    with out.open() as fh:
+        assert sum(1 for _ in fh) == 1 << 16
     assert peak_kb < 110 * 1024
 
 
@@ -436,6 +480,20 @@ def test_selftest_reports_a_failed_check(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.count("ok - ") == 6 and "FAIL - broken check\n" in out
     assert out.endswith("selftest: 1 check(s) failed\n")
+
+
+def test_selftest_fails_under_python_O():
+    # python -O strips assert statements; the checks must fail all the same
+    code = (
+        "import sys, types\n"
+        "from fractions import Fraction\n"
+        "import np2.cli\n"
+        "np2.cli.density = lambda D: types.SimpleNamespace(value=Fraction(1, 2))\n"
+        "sys.exit(np2.cli.main(['selftest']))\n"
+    )
+    done = run_python(["-O", "-c", code], capture_output=True)
+    assert done.returncode == 2, done.stderr
+    assert "FAIL - density and minimal solutions\n" in done.stdout
 
 
 def test_refusal_abbreviates_a_long_exponent_set(capsys):

@@ -10,6 +10,7 @@ import np2.modsolve
 from helpers import (
     BFS_CHUNK,
     PAPER_SETS,
+    all_moves,
     bfs_distances,
     exhaustive_irreducible_classes,
     reference_min_weight_solution,
@@ -18,7 +19,6 @@ from helpers import (
 from np2.modsolve import (
     SIGMA_LENGTH_CAP,
     ModSolution,
-    _moves,
     _support_bound,
     density,
     min_weight_solution,
@@ -215,7 +215,7 @@ def test_witness_matches_full_depth_search():
 def test_search_stops_at_the_closing_level(D, l):
     # the reference search ends with level sigma - 1; a full-depth search goes deeper
     m = (1 << l) - 1
-    moves = _moves(D, l)
+    moves = all_moves(D, l)
     dist = bfs_distances(moves, m)
     assert dist.max() == scalar_sigma(D, l) - 1
     # on that last level only residues one move short of 0 are labelled
