@@ -51,10 +51,6 @@ def _set_str(D) -> str:
     return f"({str(D[:3])[1:-1]}, ..., {str(D[-3:])[1:-1]}; {len(D)} exponents in {D[0]}..{D[-1]})"
 
 
-def _rotl(u: int, l: int) -> int:
-    return ((u << 1) | (u >> (l - 1))) & ((1 << l) - 1)
-
-
 @dataclass(frozen=True)
 class ModSolution:
     """One solution: length l and the nonzero digits as (d, u_d) pairs."""
@@ -97,18 +93,13 @@ class ModSolution:
     def density(self) -> Fraction:
         return Fraction(self.weight, self.length)
 
-    def shift(self) -> "ModSolution":
-        """Rotate every digit by one bit; a solution again, same weight."""
-        return ModSolution(
-            self.length, tuple((d, _rotl(u, self.length)) for d, u in self.digits)
-        )
-
     def _rotations(self):
-        """The digits rotated by 0, 1, ..., l - 1 bits."""
+        """The digits rotated left by 0, 1, ..., l - 1 bits."""
+        l, m = self.length, self.modulus
         rot = self.digits
-        for _ in range(self.length):
+        for _ in range(l):
             yield rot
-            rot = tuple((d, _rotl(u, self.length)) for d, u in rot)
+            rot = tuple((d, (u << 1 | u >> (l - 1)) & m) for d, u in rot)
 
     def support(self) -> tuple[int, ...]:
         m = self.modulus

@@ -21,13 +21,15 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, product, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, combinations, repeat
+from math import prod
+from operator import attrgetter
 from random import Random
 from typing import Callable
 
 import numpy as np
 
+from .field import MAX_DEGREE
 from .hasse import MIN_GENUS, classify, read_exponents
 from .vss import predict_first_vertex, rank_keys
 from .zeta import (
@@ -49,7 +51,7 @@ class Route:
 
     run(f) returns the values of fields in order; vertex names the field
     that holds the first vertex, None where the route gives no verdict.
-    family(spec, rows), rows = list(dense_rows(spec)), returns run's
+    family(spec, rows), rows = dense_rows(spec), returns run's
     values over a family as columns (values, index): values holds each
     distinct value once, and index gives each row's value, in report
     order.  run stays the reference that family is tested against, and
@@ -59,7 +61,7 @@ class Route:
     fields: tuple[str, ...]
     vertex: str
     run: Callable[[CurvePoly], tuple]
-    family: Callable[[SweepSpec, list[tuple[int, ...]]], tuple[list[tuple], np.ndarray]]
+    family: Callable[[SweepSpec, np.ndarray], tuple[list[tuple], np.ndarray]]
 
 
 # The routes look the predictors up in this module when they run, so a
@@ -92,20 +94,31 @@ def _by_case_ladder(f: CurvePoly) -> tuple:
 
 
 def _family_by_case_ladder(spec: SweepSpec, rows) -> tuple[list[tuple], np.ndarray]:
-    # one exponent gives a bare coefficient, which keys as well as a tuple
     exps = read_exponents(spec.genus) if spec.genus >= MIN_GENUS else ()
-    keys = list(map(itemgetter(*((e - 1) // 2 for e in exps)), rows)) if exps else [()] * len(rows)
-    return _per_key(_by_case_ladder, spec.field_degree, rows, keys)
+    return _per_key(_by_case_ladder, spec.field_degree, rows, rows[:, [(e - 1) // 2 for e in exps]])
 
 
-def _per_key(run, field_degree: int, rows, keys) -> tuple[list[tuple], np.ndarray]:
+def _per_key(run, a: int, rows, keys) -> tuple[list[tuple], np.ndarray]:
     """run's distinct values over the rows and each row's index into them;
-    run runs once per distinct key, on its first row."""
-    number, of_key = {}, {}  # value -> its index; key -> its value's index
-    for row, key in zip(rows, keys):
-        if key not in of_key:
-            of_key[key] = number.setdefault(run(CurvePoly(field_degree, _sparse(row))), len(number))
-    return list(number), np.fromiter(map(of_key.__getitem__, keys), dtype=np.int32, count=len(keys))
+    run runs once per distinct row of the key columns, on its first row."""
+    first, index = _classes(keys)
+    number = {}  # value -> its index
+    of_key = [number.setdefault(run(CurvePoly(a, _sparse(r))), len(number)) for r in rows[first].tolist()]
+    return list(number), np.array(of_key, dtype=np.int32)[index]
+
+
+def _classes(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, index): the first row of each distinct row of the columns, small
+    non-negative ints, in ascending order, and each row's number.  The columns pack
+    into an int64, the key so far renumbered before a column would pass 63 bits."""
+    width = int(columns.max(initial=0)).bit_length()
+    key = np.zeros(len(columns), dtype=np.int64)
+    for column in columns.T:
+        if int(key.max(initial=0)).bit_length() + width > 63:
+            key = np.unique(key, return_inverse=True)[1].astype(np.int64)
+        key = key << width | column.astype(np.int64)
+    _, first, index = np.unique(key, return_index=True, return_inverse=True)
+    return first, index.astype(np.int32)
 
 
 # Every list of routes, record fields and report columns derives from
@@ -172,6 +185,8 @@ class SweepSpec:
             raise ValueError(f"unknown sweep mode {self.mode!r}")
         if self.genus < 1:
             raise ValueError("genus must be positive")
+        if not 1 <= self.field_degree <= MAX_DEGREE:
+            raise ValueError(f"field degree {self.field_degree} out of range 1..{MAX_DEGREE}")
         if not self.predictors:
             raise ValueError("no predictors selected")
         for p in self.predictors:
@@ -194,11 +209,7 @@ class SweepSpec:
         if self.mode == "exhaustive":
             # only free coefficients count; a free leading one is nonzero
             fixed = dict(self.fixed)
-            size = 1
-            for e in range(1, deg + 1, 2):
-                if e not in fixed:
-                    size *= q - 1 if e == deg else q
-            if size > CURVE_CAP:
+            if prod(1 if e in fixed else q - (e == deg) for e in range(1, deg + 1, 2)) > CURVE_CAP:
                 raise ValueError("exhaustive sweep larger than 2^20 curves")
             if self.seed or self.count:
                 raise ValueError("an exhaustive sweep takes no seed or count")
@@ -208,38 +219,39 @@ class SweepSpec:
             raise ValueError(f"random sweep of {self.count} curves, larger than 2^20")
 
 
-def dense_rows(spec: SweepSpec):
-    """The family's dense coefficient tuples (c_1, c_3, ..., c_{2g+1}) in
-    report order, which is ascending: an iterator over the product for an
-    exhaustive family, the sorted seeded draws for a random one, where
-    duplicate draws are all kept."""
+def dense_rows(spec: SweepSpec) -> np.ndarray:
+    """The family's dense coefficient rows (c_1, c_3, ..., c_{2g+1}) in
+    report order, which is ascending, as one array of the smallest unsigned
+    type that holds F_q: every row of an exhaustive family, the sorted seeded
+    draws of a random one, where duplicate draws are all kept."""
     spec.validate()
     q = 1 << spec.field_degree
     deg = 2 * spec.genus + 1
     fixed = dict(spec.fixed)
+    dtype = np.min_scalar_type(q - 1)
+    odd = range(1, deg + 1, 2)
     if spec.mode == "exhaustive":
-        # the lowest exponent varies slowest, so product order is ascending
-        odd = range(1, deg + 1, 2)
-        return product(*((fixed[e],) if e in fixed else range(1 if e == deg else 0, q) for e in odd))
+        # the digits of the row number, lowest exponent slowest, so rows
+        # ascend; a free leading coefficient is its digit plus 1
+        digits = np.indices([1 if e in fixed else q - (e == deg) for e in odd], dtype).reshape(len(odd), -1)
+        return (digits + np.array([fixed.get(e, int(e == deg)) for e in odd], dtype)[:, None]).T
     rng = Random(spec.seed)
     draws = []
     for _ in range(spec.count):
         # the leading coefficient is drawn first, even when it is fixed
         lead = fixed.get(deg, rng.randrange(1, q))
-        lower = tuple(fixed[e] if e in fixed else rng.randrange(q) for e in range(1, deg, 2))
-        draws.append(lower + (lead,))
-    return sorted(draws)
+        draws.append([fixed[e] if e in fixed else rng.randrange(q) for e in odd[:-1]] + [lead])
+    return np.array(sorted(draws), dtype)
 
 
-def _sparse(row) -> tuple[tuple[int, int], ...]:
+def _sparse(row: list[int]) -> tuple[tuple[int, int], ...]:
     """CurvePoly coefficients of a dense row: nonzero (exponent, bits), top down."""
     return tuple([(e, c) for e, c in zip(range(2 * len(row) - 1, 0, -2), row[::-1]) if c])
 
 
 def iter_curves(spec: SweepSpec):
     """Curves of the family in report order, one per dense_rows(spec) row."""
-    for row in dense_rows(spec):
-        yield CurvePoly(spec.field_degree, _sparse(row))
+    return (CurvePoly(spec.field_degree, _sparse(row.tolist())) for row in dense_rows(spec))
 
 
 @dataclass(frozen=True)
@@ -293,9 +305,9 @@ class SweepSummary:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Sweep:
-    """A family's verdicts as columns: its dense rows in report order, the
-    table of its distinct verdicts (_verdict's fields) and one index into
-    that table per row.
+    """A family's verdicts as columns: its dense rows in report order, one
+    array as dense_rows gives them, the table of its distinct verdicts
+    (_verdict's fields) and one index into that table per row.
 
     Indexing and iteration give a VerdictRecord view per row, built on
     demand; every record's elapsed is share.  A slice is a Sweep of those
@@ -307,7 +319,7 @@ class Sweep:
     genus: int
     predictors: tuple[str, ...]
     share: float
-    rows: list[tuple[int, ...]]
+    rows: np.ndarray
     verdicts: list[tuple]
     index: np.ndarray
 
@@ -317,29 +329,29 @@ class Sweep:
     def __getitem__(self, i):
         if isinstance(i, slice):
             # only the verdicts the rows use are kept, so tallies count no empty one
-            used, index = np.unique(self.index[i], return_inverse=True)
-            verdicts = list(map(self.verdicts.__getitem__, used.tolist()))
-            return replace(self, rows=self.rows[i], verdicts=verdicts, index=index.astype(np.int32))
-        return self._record(self.rows[i], self.verdicts[self.index[i]])
+            part = self.index[i]
+            first, index = _classes(part[:, None])
+            verdicts = list(map(self.verdicts.__getitem__, part[first].tolist()))
+            return replace(self, rows=self.rows[i], verdicts=verdicts, index=index)
+        return self._record(self.rows[i].tolist(), self.verdicts[self.index[i]])
 
     def __add__(self, records) -> Sweep:
         """This sweep's rows followed by the records', each record with its
         own verdict; records is a Sweep or VerdictRecords of this family."""
         family = (self.field_degree, self.genus, self.predictors)
-        rows, verdicts = list(self.rows), list(self.verdicts)
-        for r in records:
+        records = list(records)
+        rows = np.zeros((len(records), self.genus + 1), self.rows.dtype)
+        for row, r in zip(rows, records):
             if (r.field_degree, r.genus, r.predictors) != family:
                 raise ValueError("records of another family")
-            row = [0] * (self.genus + 1)
             for e, c in r.coeffs:
                 row[e // 2] = c
-            rows.append(tuple(row))
-            verdicts.append(_verdicts_of(r))
+        verdicts = self.verdicts + list(map(_verdicts_of, records))
         index = np.concatenate([self.index, np.arange(len(self.verdicts), len(verdicts), dtype=np.int32)])
-        return replace(self, rows=rows, verdicts=verdicts, index=index)
+        return replace(self, rows=np.concatenate([self.rows, rows]), verdicts=verdicts, index=index)
 
     def __iter__(self):
-        return map(self._record, self.rows, map(self.verdicts.__getitem__, self.index.tolist()))
+        return map(self._record, self.rows.tolist(), map(self.verdicts.__getitem__, self.index.tolist()))
 
     def _record(self, row, verdict) -> VerdictRecord:
         a, g = self.field_degree, self.genus
@@ -352,14 +364,24 @@ class Sweep:
 
     @cached_property
     def coeffs(self) -> list[str]:
-        """Each row's coefficients as coeffs_str writes them, joined from
-        per-(exponent, value) fragments: the leading coefficient, which is
-        nonzero, then ",e:c" for each nonzero lower one."""
-        q = 1 << self.field_degree
-        lower = [["", *(f",{e}:{c}" for c in range(1, q))] for e in range(1, 2 * self.genus, 2)]
-        fragments = [*lower, [f"{2 * self.genus + 1}:{c}" for c in range(q)]]
-        columns = [map(f.__getitem__, map(itemgetter(k), self.rows)) for k, f in enumerate(fragments)]
-        return list(map("".join, zip(*reversed(columns))))
+        """Each row's coefficients as coeffs_str writes them, joined from a
+        fragment per (exponent, value) that occurs: the leading coefficient,
+        which is nonzero, then ",e:c" for each nonzero lower one."""
+        deg = 2 * self.genus + 1
+        prefixes = [f"{deg}:", *(f",{e}:" for e in range(deg - 2, 0, -2))]
+        columns = [map(_Fragments(p).__getitem__, memoryview(col)) for p, col in zip(prefixes, self.rows.T[::-1])]
+        return list(map("".join, zip(*columns)))
+
+
+class _Fragments(dict):
+    """prefix + str(c) per nonzero value c, "" for 0, each made when first looked up."""
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+
+    def __missing__(self, c: int) -> str:
+        self[c] = s = f"{self.prefix}{c}" if c else ""
+        return s
 
 
 def summarize(sweep: Sweep) -> SweepSummary:
@@ -376,10 +398,7 @@ def summarize(sweep: Sweep) -> SweepSummary:
             disagreements += count
         if any(getattr(r, flag) is False for flag in against_reference):
             reference_dis += count
-        if any(
-            name in r.predictors and getattr(r, route.vertex) is None
-            for name, route in ROUTES.items()
-        ):
+        if any(name in r.predictors and getattr(r, route.vertex) is None for name, route in ROUTES.items()):
             absences += count
     return SweepSummary(len(sweep), agreements, disagreements, reference_dis, absences)
 
@@ -389,21 +408,18 @@ def run_sweep(spec: SweepSpec) -> tuple[Sweep, SweepSummary]:
     point runs once, the agreement flags once per distinct verdict, and
     each record's elapsed is an equal share."""
     t0 = time.perf_counter()
-    rows = list(dense_rows(spec))
+    rows = dense_rows(spec)
     absent = np.zeros(len(rows), dtype=np.int32)
     columns = [
         r.family(spec, rows) if n in spec.predictors else ([(None,) * len(r.fields)], absent)
         for n, r in ROUTES.items()
     ]
-    # each row's combination of route values as one number; a verdict per combination used
-    dims = [len(values) for values, _ in columns]
-    used, index = np.unique(np.ravel_multi_index([i for _, i in columns], dims), return_inverse=True)
-    verdicts = [
-        _verdict([values[i] for (values, _), i in zip(columns, combo)])
-        for combo in zip(*np.unravel_index(used, dims))
-    ]
+    # each row's combination of route values, numbered; a verdict per combination used
+    combos = np.stack([i for _, i in columns], axis=1)
+    first, index = _classes(combos)
+    verdicts = [_verdict([vals[i] for (vals, _), i in zip(columns, combo)]) for combo in combos[first].tolist()]
     share = (time.perf_counter() - t0) / len(rows)
-    sweep = Sweep(spec.field_degree, spec.genus, spec.predictors, share, rows, verdicts, index.astype(np.int32))
+    sweep = Sweep(spec.field_degree, spec.genus, spec.predictors, share, rows, verdicts, index)
     return sweep, summarize(sweep)
 
 
@@ -443,12 +459,7 @@ def record_row(rec: VerdictRecord, timing: bool = False) -> dict:
 
     JSONL lines and CSV rows both render this row; a vertex is a 2-list.
     """
-    values = [
-        1 << rec.field_degree,
-        rec.genus,
-        coeffs_str(rec.coeffs),
-        ",".join(rec.predictors),
-    ]
+    values = [1 << rec.field_degree, rec.genus, coeffs_str(rec.coeffs), ",".join(rec.predictors)]
     for v in _verdicts_of(rec):
         values.append(_vertex_json(v) if isinstance(v, tuple) else v)
     row = dict(zip(COLUMNS, values))

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+
+import numpy as np
 
 from .field import make_ctx
 from .modsolve import ModSolution, minimal_irreducible_solutions, odds_up_to
@@ -96,9 +97,7 @@ class _Frame:
             rows[i][j] = 1
         for i, j, d in self.jump_edges:
             rows[i][j] = f.coeff(d)
-        return MinimalSupportMatrix(
-            self.sigma, tuple(tuple(r) for r in rows), self.density, f.field_degree
-        )
+        return MinimalSupportMatrix(self.sigma, tuple(tuple(r) for r in rows), self.density, f.field_degree)
 
 
 def build_matrix(solutions, f: CurvePoly) -> MinimalSupportMatrix:
@@ -203,22 +202,21 @@ def _frame(D) -> _Frame:
     return _frame_of(tuple(minimal_irreducible_solutions(D)))
 
 
-def rank_keys(deg: int, rows) -> list[tuple]:
-    """A key per dense row (c_1, c_3, ..., c_deg) of curves of one field
-    and degree, equal where predict_first_vertex is: the marks stripped,
-    then the coefficients at the jumps of that exponent set's frame.
-    Frames are built in row order, and only for strips that occur, as
-    a frame that no curve needs may be refused."""
+def rank_keys(deg: int, rows: np.ndarray) -> np.ndarray:
+    """Key columns of dense rows (c_1, c_3, ..., c_deg) of curves of one field
+    and degree, equal where predict_first_vertex is: a zero flag per mark,
+    then the coefficients at the jumps of the frame of those marks stripped,
+    every other jump column 0.  Frames are built in row order, and only for
+    strips that occur, as a frame that no curve needs may be refused."""
     marks = _marks(deg)
-    at_marks = itemgetter(*((e - 1) // 2 for e in (marks * 2)[:2]))  # a tuple, even for one mark
-    by_marks = {}  # coefficients at the marks -> (strip, getter of the coefficients at the jumps)
-    for values in dict.fromkeys(map(at_marks, rows)):
-        strip = tuple(e for e, c in zip(marks, values) if c == 0)
-        jumps = _frame(odds_up_to(deg, exclude=strip)).jumps
-        # one jump gives a bare coefficient, which keys as well as a tuple
-        by_marks[values] = strip, itemgetter(*((d - 1) // 2 for d in jumps))
-    found = map(by_marks.__getitem__, map(at_marks, rows))
-    return [(strip, at_jumps(row)) for (strip, at_jumps), row in zip(found, rows)]
+    zero = rows[:, [(e - 1) // 2 for e in marks]] == 0
+    _, first, strip = np.unique(zero @ (1 << np.arange(len(marks))), return_index=True, return_inverse=True)
+    jumps = [()] * len(first)  # per strip, its frame's jumps
+    for k in np.argsort(first).tolist():
+        jumps[k] = _frame(odds_up_to(deg, exclude=[e for e, z in zip(marks, zero[first[k]]) if z])).jumps
+    columns = sorted(set().union(*jumps))
+    own = np.array([[d in js for d in columns] for js in jumps], dtype=bool)
+    return np.hstack([zero, rows[:, [(d - 1) // 2 for d in columns]] * own[strip]])
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,17 @@ import sys
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from np2.field import FieldCtx, embed_bits, field_table, make_ctx
-from np2.hasse import MIN_GENUS, TheoremCase
+from np2.hasse import MIN_GENUS, TheoremCase, read_exponents
 from np2.modsolve import ModSolution, odds_up_to
 from np2.sweep import COLUMNS, _csv_cell, record_row
+from np2.vss import _frame, _marks
 from np2.zeta import _LEADER_BLOCK, CurvePoly, _basis, _orbit_leaders, _Orbits
 
 # the certified 2-densities of the punctured odd-exponent sets, keyed by
@@ -112,6 +114,12 @@ def all_moves(D, l) -> list[int]:
     """Every move d * 2^r mod 2^l - 1, sorted."""
     m = (1 << l) - 1
     return sorted({d * (1 << r) % m for d in D for r in range(l)})
+
+
+def shifted(s: ModSolution) -> ModSolution:
+    """s with every digit rotated left by one bit: a solution again, of the same weight."""
+    l = s.length
+    return ModSolution(l, tuple((d, (u << 1 | u >> (l - 1)) & ((1 << l) - 1)) for d, u in s.digits))
 
 
 def word_to_solution(word: list[int], D, l: int) -> ModSolution:
@@ -249,6 +257,38 @@ def reference_report_lines(records, format, timing=False):
     for r in records:
         writer.writerow([_csv_cell(v) for v in record_row(r, timing).values()])
     return buf.getvalue().splitlines()
+
+
+def reference_rank_keys(deg: int, rows) -> list[tuple]:
+    """A key per dense row (c_1, c_3, ..., c_deg), a list of ints, of
+    curves of one field and degree, equal where predict_first_vertex is:
+    the marks stripped, then the coefficients at the jumps of that
+    exponent set's frame; per-row tuples, the reference for the key
+    columns of np2.vss.rank_keys."""
+    marks = _marks(deg)
+    at_marks = itemgetter(*((e - 1) // 2 for e in (marks * 2)[:2]))  # a tuple, even for one mark
+    by_marks = {}  # coefficients at the marks -> (strip, getter of the coefficients at the jumps)
+    for values in dict.fromkeys(map(at_marks, rows)):
+        strip = tuple(e for e, c in zip(marks, values) if c == 0)
+        jumps = _frame(odds_up_to(deg, exclude=strip)).jumps
+        # one jump gives a bare coefficient, which keys as well as a tuple
+        by_marks[values] = strip, itemgetter(*((d - 1) // 2 for d in jumps))
+    found = map(by_marks.__getitem__, map(at_marks, rows))
+    return [(strip, at_jumps(row)) for (strip, at_jumps), row in zip(found, rows)]
+
+
+def reference_ladder_keys(genus: int, rows) -> list:
+    """A key per dense row, a list of ints, equal where the case ladder
+    is: the coefficients at the exponents it reads, none below its genus;
+    the reference for the case ladder's key columns in np2.sweep."""
+    # one exponent gives a bare coefficient, which keys as well as a tuple
+    exps = read_exponents(genus) if genus >= MIN_GENUS else ()
+    return list(map(itemgetter(*((e - 1) // 2 for e in exps)), rows)) if exps else [()] * len(rows)
+
+
+def same_classes(u, v) -> bool:
+    """Whether two keys per row split the rows into the same classes."""
+    return len(set(zip(u, v))) == len(set(u)) == len(set(v))
 
 
 def reference_summary(records):

@@ -251,6 +251,15 @@ def test_refused_sweep_keeps_an_existing_report(tmp_path, capsys):
     np2.sweep.SweepSpec(2, 12, "random", count=1, predictors=("vss", "hasse")).validate()
 
 
+def test_sweep_past_the_field_degree_cap_exits_3(tmp_path, capsys):
+    # refused before the draws are made and before the report is opened
+    out = tmp_path / "wide.jsonl"
+    argv = ["sweep", "--q", "2^41", "--g", "1", "--random", "--count", "3", "--predictors", "hasse"]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: field degree 41 out of range 1..40\n"
+    assert not out.exists()
+
+
 def test_random_sweep_past_the_curve_cap_exits_3(tmp_path, capsys):
     # refused before the draws are made and before the report is opened
     out = tmp_path / "big.jsonl"

@@ -15,6 +15,7 @@ from helpers import (
     exhaustive_irreducible_classes,
     reference_min_weight_solution,
     scalar_sigma,
+    shifted,
 )
 from np2.modsolve import (
     SIGMA_LENGTH_CAP,
@@ -45,8 +46,8 @@ def test_frozen_single_digit_support():
     assert s.density == Fraction(1, 3)
     assert s.is_irreducible()
     assert jump_count(s) == 1
-    assert s.shift().digits == ((7, 2),)
-    assert s.shift().shift().shift() == s
+    assert shifted(s).digits == ((7, 2),)
+    assert shifted(shifted(shifted(s))) == s
 
 
 def test_frozen_two_digit_support():
@@ -124,13 +125,13 @@ def test_digit_column_identity():
 def test_shift_equivariance():
     for s in sample_solutions():
         phi = s.support()
-        shifted = s.shift()
-        assert shifted.weight == s.weight
-        assert shifted.support() == phi[1:] + phi[:1]
-        assert shifted.canonical() == s.canonical()
+        t = shifted(s)
+        assert t.weight == s.weight
+        assert t.support() == phi[1:] + phi[:1]
+        assert t.canonical() == s.canonical()
         cur = s
         for _ in range(s.length):
-            cur = cur.shift()
+            cur = shifted(cur)
         assert cur == s
 
 

@@ -9,8 +9,17 @@ import numpy as np
 import pytest
 
 import np2.zeta
-from helpers import fresh_process, reference_frontier, reference_report_lines, reference_summary
+from helpers import (
+    fresh_process,
+    reference_frontier,
+    reference_ladder_keys,
+    reference_rank_keys,
+    reference_report_lines,
+    reference_summary,
+    same_classes,
+)
 from np2 import sweep
+from np2.hasse import MIN_GENUS
 from np2.sweep import (
     VERDICT_FIELDS,
     Sweep,
@@ -167,18 +176,96 @@ def test_family_oracle_matches_per_curve(spec):
     # the same-route reference: one curve at a time, in iter_curves order
     oracle = sweep.ROUTES["oracle"]
     curves = list(iter_curves(spec))
-    assert expand(oracle.family(spec, list(dense_rows(spec)))) == [oracle.run(f) for f in curves]
+    assert expand(oracle.family(spec, dense_rows(spec))) == [oracle.run(f) for f in curves]
 
 
 @pytest.mark.parametrize("spec", [*FAMILIES, SweepSpec(1, 10, fixed=ID_FIX)], ids=spec_id)
 def test_family_routes_match_per_curve(spec):
     # the rank route and the case ladder run once per distinct key of the
     # family; each must give what it gives one curve at a time
-    rows = list(dense_rows(spec))
+    rows = dense_rows(spec)
     curves = list(iter_curves(spec))
     for name in ("vss", "hasse"):
         route = sweep.ROUTES[name]
         assert expand(route.family(spec, rows)) == [route.run(f) for f in curves], name
+
+
+def keyed_runs(monkeypatch, spec, name):
+    """The key columns the keyed route name numbers on spec's rows, and how
+    many times it calls its predictor."""
+    seen, calls = [], []
+    per_key = sweep._per_key
+
+    def keep_keys(run, a, rows, keys):
+        seen.append(keys)
+        return per_key(run, a, rows, keys)
+
+    predictor = {"vss": "predict_first_vertex", "hasse": "classify"}[name]
+    run = getattr(sweep, predictor)
+    monkeypatch.setattr(sweep, "_per_key", keep_keys)
+    monkeypatch.setattr(sweep, predictor, lambda f: calls.append(f) or run(f))
+    sweep.ROUTES[name].family(spec, dense_rows(spec))
+    (keys,) = seen
+    return keys, len(calls)
+
+
+@pytest.mark.parametrize("spec", [*FAMILIES, SweepSpec(1, 10, fixed=ID_FIX)], ids=spec_id)
+def test_key_columns_split_rows_as_tuple_keys(monkeypatch, spec):
+    # the same-route reference: per-row tuple keys split the rows into the
+    # same classes, and each route calls its predictor once per class
+    rows = dense_rows(spec).tolist()
+    want = {
+        "vss": reference_rank_keys(2 * spec.genus + 1, rows),
+        "hasse": reference_ladder_keys(spec.genus, rows),
+    }
+    for name, reference in want.items():
+        keys, calls = keyed_runs(monkeypatch, spec, name)
+        assert same_classes([tuple(k) for k in keys.tolist()], reference), name
+        # the case ladder gives no verdict, and classifies nothing, below its genus
+        ran = name == "vss" or spec.genus >= MIN_GENUS
+        assert calls == (len(set(reference)) if ran else 0), name
+
+
+# 50 curves over F_{2^40}: every key column but the rank route's mark flags
+# holds 40 bits, so both routes' packed keys pass 63 bits.  With c_11 and
+# c_13 fixed, the last key columns of both routes are the same on every
+# row, so a key packed past 63 bits without renumbering loses the columns
+# that tell the rows apart.
+WIDE = [
+    SweepSpec(40, 6, mode="random", seed=3, count=50, predictors=("hasse", "vss")),
+    SweepSpec(
+        40, 6, mode="random", seed=4, count=50, fixed=((11, 3), (13, 1 << 39 | 5)), predictors=("hasse", "vss")
+    ),
+]
+
+
+@pytest.mark.parametrize("spec", WIDE, ids=spec_id)
+def test_keys_past_63_bits_match_per_curve(monkeypatch, spec):
+    rows = dense_rows(spec)
+    assert rows.dtype == np.uint64
+    curves = list(iter_curves(spec))
+    for name in ("vss", "hasse"):
+        route = sweep.ROUTES[name]
+        assert expand(route.family(spec, rows)) == [route.run(f) for f in curves], name
+        keys, calls = keyed_runs(monkeypatch, spec, name)
+        assert int(keys.max()).bit_length() * keys.shape[1] > 63, name
+        assert calls == len({tuple(k) for k in keys.tolist()}) > 1, name
+
+
+def test_classes_number_distinct_rows_in_ascending_order():
+    rng = np.random.default_rng(5)
+    wide = rng.integers(0, 1 << 40, (6, 5), dtype=np.uint64)
+    for columns in (
+        np.zeros((7, 0), np.uint8),  # no column: one class
+        rng.integers(0, 3, (40, 1), dtype=np.uint8),
+        rng.integers(0, 2, (300, 9), dtype=np.uint8),
+        wide[rng.integers(0, 6, 80)],  # 200 bits a row, renumbered on the way
+    ):
+        first, index = sweep._classes(columns)
+        rows = [tuple(r) for r in columns.tolist()]
+        distinct = sorted(set(rows))
+        assert index.tolist() == [distinct.index(r) for r in rows]
+        assert first.tolist() == [rows.index(r) for r in distinct]
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=spec_id)
@@ -210,7 +297,7 @@ def test_random_family_chunks_match_per_curve(monkeypatch, chunk_bytes):
     monkeypatch.setattr(np2.zeta, "_CHUNK_BYTES", chunk_bytes)
     oracle = sweep.ROUTES["oracle"]
     for spec, w in CHUNK_FAMILIES:
-        draws = list(dense_rows(spec))
+        draws = dense_rows(spec)
         used = sum(any(c >> i & 1 for c in col) for col in zip(*draws) for i in range(spec.field_degree))
         assert np2.zeta._group_width(spec.count) == w
         assert w == 1 or used % w, (spec, used)
@@ -225,7 +312,7 @@ def test_family_oracle_builds_no_field_table():
         "from np2.sweep import ROUTES, SweepSpec, dense_rows\n"
         "for spec in (SweepSpec(1, 8), SweepSpec(2, 10, mode='random', seed=10, count=100),\n"
         "             SweepSpec(5, 4, mode='random', seed=4, count=200)):\n"
-        "    print(len(ROUTES['oracle'].family(spec, list(dense_rows(spec)))[1]))\n"
+        "    print(len(ROUTES['oracle'].family(spec, dense_rows(spec))[1]))\n"
     )
     assert counts.split() == ["256", "100", "200"]
     assert tables == 0
@@ -245,7 +332,7 @@ def test_one_bit_tables_match_per_curve(monkeypatch, chunk_bytes):
     monkeypatch.setattr(np2.zeta, "_TABLE_BYTES", 0)
     oracle = sweep.ROUTES["oracle"]
     for spec, _ in CHUNK_FAMILIES:
-        assert expand(oracle.family(spec, list(dense_rows(spec)))) == [oracle.run(f) for f in iter_curves(spec)], spec
+        assert expand(oracle.family(spec, dense_rows(spec))) == [oracle.run(f) for f in iter_curves(spec)], spec
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
@@ -256,13 +343,51 @@ def test_wide_field_tables_are_bounded():
     out, tables, peak_kb = fresh_process(
         "from np2.sweep import SweepSpec, dense_rows\n"
         "from np2.zeta import curves_first_vertices\n"
-        f"vertices, index = curves_first_vertices(22, list(dense_rows({spec!r})))\n"
+        f"vertices, index = curves_first_vertices(22, dense_rows({spec!r}))\n"
         "print([list(vertices[i]) for i in index])\n"
     )
     assert tables == 0
     assert peak_kb < 160 * 1024
     want = [list(np2.zeta.first_vertex(np2.zeta.newton_polygon_of_curve(f))) for f in iter_curves(spec)]
     assert out == str(want)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_wide_field_report_is_bounded_by_its_rows():
+    # 3 curves over F_{2^20}: coefficient strings are built for the values
+    # that occur, not for every element of the field
+    spec = SweepSpec(20, 1, mode="random", seed=5, count=3, predictors=("hasse",))
+    out, tables, peak_kb = fresh_process(
+        "from np2.sweep import SweepSpec, report_lines, run_sweep\n"
+        f"sweep, _ = run_sweep({spec!r})\n"
+        "print([report_lines(sweep, fmt) for fmt in ('jsonl', 'csv')])\n"
+    )
+    records = [evaluate_curve(f, spec.predictors) for f in iter_curves(spec)]
+    assert out == str([reference_report_lines(records, fmt) for fmt in ("jsonl", "csv")])
+    assert tables == 0
+    assert peak_kb < 80 * 1024
+
+
+def test_report_imports_no_masked_arrays():
+    # np.unique without an index or inverse imports numpy.ma, which took a
+    # one-shot `sweep --q 2 --g 5` from 8 to 22 ms; the coefficient strings
+    # need no list of the distinct values of a column
+    out, _, _ = fresh_process(
+        "import sys\n"
+        "from np2.sweep import SweepSpec, report_lines, run_sweep\n"
+        "sweep, _ = run_sweep(SweepSpec(1, 5))\n"
+        "report_lines(sweep, 'jsonl'), report_lines(sweep[3:9], 'csv')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert out == "False"
+
+
+def test_field_degree_past_the_cap_is_refused():
+    with pytest.raises(ValueError, match="field degree 41 out of range 1..40"):
+        SweepSpec(41, 1, mode="random", count=3, predictors=("hasse",)).validate()
+    with pytest.raises(ValueError, match="field degree 0 out of range"):
+        SweepSpec(0, 1).validate()
+    assert SweepSpec(40, 1, mode="random", count=3, predictors=("hasse",)).validate() is None
 
 
 def test_random_family_needs_a_leading_coefficient():
@@ -348,7 +473,7 @@ def test_jsonl_roundtrip():
 
 
 def test_csv_header_only_when_empty():
-    empty = Sweep(1, 3, sweep.PREDICTORS, 0.0, [], [], np.zeros(0, dtype=np.int32))
+    empty = Sweep(1, 3, sweep.PREDICTORS, 0.0, np.zeros((0, 4), np.uint8), [], np.zeros(0, dtype=np.int32))
     lines = report_lines(empty, "csv")
     assert lines == [
         "q,g,coeffs,predictors,oracle,vss,hasse_case,hasse_vertex,large_n_caveat,"
@@ -448,7 +573,7 @@ def test_sweep_views_match_per_curve(spec):
     # and the summaries are a per-record recount
     s, summary = run_sweep(spec)
     records = list(s)
-    assert len(records) == len(s) == len(list(dense_rows(spec)))
+    assert len(records) == len(s) == len(dense_rows(spec))
     for rec, f in zip(records, iter_curves(spec)):
         assert rec.elapsed == s.share
         assert replace(rec, elapsed=None) == replace(evaluate_curve(f, spec.predictors), elapsed=None)
